@@ -1,7 +1,9 @@
-// Golden determinism regression (ISSUE satellite): a fixed-seed,
-// quickstart-shaped training run per strategy, hashed (final parameters +
-// TrainResult accounting) and asserted against a committed golden file —
-// and asserted identical across thread-pool sizes 1, 4, and hardware.
+// Golden determinism regression: a fixed-seed, quickstart-shaped training
+// run per strategy, hashed (final parameters + TrainResult accounting) and
+// asserted against a committed golden file — and asserted identical across
+// thread-pool sizes 1, 4, and hardware.  One extra case trains ResNet20-mini
+// on SyntheticImages so the Conv2d path (im2col, col2im and all three GEMM
+// entry points) is pinned bit-for-bit too.
 //
 // The pool-size invariance check is unconditional: it guards the sharded
 // pipelines' (seed, round, chunk) rng discipline.  The golden-file check
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "data/synthetic_digits.hpp"
+#include "data/synthetic_images.hpp"
 #include "nn/models.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/trainer.hpp"
@@ -54,6 +57,7 @@ class Fnv1a {
 struct GoldenCase {
   const char* key;
   SyncMethod method;
+  bool resnet = false;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -63,12 +67,37 @@ constexpr GoldenCase kCases[] = {
     {"ssdm-rar", SyncMethod::kSsdm},
     {"cascading-rar", SyncMethod::kCascading},
     {"marsit-rar", SyncMethod::kMarsit},
+    {"marsit-resnet-ring", SyncMethod::kMarsit, /*resnet=*/true},
 };
 
+/// FNV digest of the final parameters and the TrainResult accounting.
+std::uint64_t digest_of(const DistributedTrainer& trainer,
+                        const TrainResult& result) {
+  std::vector<float> params(trainer.param_count());
+  trainer.copy_params_into({params.data(), params.size()});
+
+  Fnv1a hash;
+  for (const float p : params) {
+    hash.add(p);
+  }
+  hash.add(static_cast<std::uint64_t>(result.rounds_completed));
+  hash.add(result.sim_seconds);
+  hash.add(result.total_wire_bits);
+  hash.add(result.mean_bits_per_element);
+  hash.add(result.mean_matching_rate);
+  hash.add(result.mean_active_workers);
+  hash.add(result.final_test_accuracy);
+  hash.add(result.best_test_accuracy);
+  hash.add(result.mean_round_phases.compute);
+  hash.add(result.mean_round_phases.compression);
+  hash.add(result.mean_round_phases.communication);
+  hash.add(static_cast<std::uint64_t>(result.diverged ? 1 : 0));
+  return hash.digest();
+}
+
 /// One quickstart-shaped run (4 workers on a ring, small MLP on the digit
-/// dataset) with the given pool; returns the FNV digest of the final
-/// parameters and the TrainResult accounting.
-std::uint64_t run_digest(SyncMethod method, ThreadPool* pool) {
+/// dataset) with the given pool.
+std::uint64_t run_mlp_digest(SyncMethod method, ThreadPool* pool) {
   SyntheticDigits digits;
   SyncConfig sync_config;
   sync_config.num_workers = 4;
@@ -96,27 +125,46 @@ std::uint64_t run_digest(SyncMethod method, ThreadPool* pool) {
   };
   DistributedTrainer trainer(digits, factory, *strategy, config);
   const TrainResult result = trainer.train();
+  return digest_of(trainer, result);
+}
 
-  std::vector<float> params(trainer.param_count());
-  trainer.copy_params_into({params.data(), params.size()});
+/// The image_classification example's Marsit configuration, shortened: 4
+/// workers on a ring train ResNet20-mini on SyntheticImages with momentum
+/// SGD for 6 rounds; rounds 0 and 5 are full-precision flushes.
+std::uint64_t run_resnet_digest(ThreadPool* pool) {
+  SyntheticImages images;
+  SyncConfig sync_config;
+  sync_config.num_workers = 4;
+  sync_config.paradigm = MarParadigm::kRing;
+  sync_config.seed = 2024;
+  sync_config.pool = pool;
 
-  Fnv1a hash;
-  for (const float p : params) {
-    hash.add(p);
-  }
-  hash.add(static_cast<std::uint64_t>(result.rounds_completed));
-  hash.add(result.sim_seconds);
-  hash.add(result.total_wire_bits);
-  hash.add(result.mean_bits_per_element);
-  hash.add(result.mean_matching_rate);
-  hash.add(result.mean_active_workers);
-  hash.add(result.final_test_accuracy);
-  hash.add(result.best_test_accuracy);
-  hash.add(result.mean_round_phases.compute);
-  hash.add(result.mean_round_phases.compression);
-  hash.add(result.mean_round_phases.communication);
-  hash.add(static_cast<std::uint64_t>(result.diverged ? 1 : 0));
-  return hash.digest();
+  MethodOptions options;
+  options.eta_s = 2e-3f;
+  options.full_precision_period = 5;
+  options.full_precision_max_norm = 0.5f;
+  auto strategy = make_sync_strategy(SyncMethod::kMarsit, sync_config, options);
+
+  TrainerConfig config;
+  config.batch_size_per_worker = 8;
+  config.optimizer = OptimizerKind::kMomentum;
+  config.eta_l = 0.015f;
+  config.clip_grad_norm = 2.0f;
+  config.rounds = 6;
+  config.eval_interval = 6;
+  config.eval_samples = 64;
+  config.seed = 99;
+  config.track_matching_rate = true;
+  auto factory = [&images] {
+    return make_resnet20_mini(images.image_dims(), images.num_classes());
+  };
+  DistributedTrainer trainer(images, factory, *strategy, config);
+  const TrainResult result = trainer.train();
+  return digest_of(trainer, result);
+}
+
+std::uint64_t run_digest(const GoldenCase& c, ThreadPool* pool) {
+  return c.resnet ? run_resnet_digest(pool) : run_mlp_digest(c.method, pool);
 }
 
 std::string golden_path() {
@@ -165,9 +213,9 @@ TEST(GoldenDeterminismTest, PoolSizeInvariantAndMatchesGolden) {
 
   std::map<std::string, std::uint64_t> digests;
   for (const GoldenCase& c : kCases) {
-    const std::uint64_t d1 = run_digest(c.method, &pool1);
-    const std::uint64_t d4 = run_digest(c.method, &pool4);
-    const std::uint64_t dh = run_digest(c.method, &pool_hw);
+    const std::uint64_t d1 = run_digest(c, &pool1);
+    const std::uint64_t d4 = run_digest(c, &pool4);
+    const std::uint64_t dh = run_digest(c, &pool_hw);
     EXPECT_EQ(d1, d4) << c.key << ": pool sizes 1 vs 4 diverge";
     EXPECT_EQ(d1, dh) << c.key << ": pool sizes 1 vs hardware diverge";
     digests[c.key] = d1;
