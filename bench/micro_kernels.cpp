@@ -1,9 +1,11 @@
 // Kernel benchmark harness: scalar vs word-parallel vs sharded timings for
 // the hot bit-plane kernels (sign packing/unpacking, sign-sum accumulation,
-// majority vote, the ⊙ combine), written as JSON for regression tracking.
+// majority vote, the ⊙ combine), plus reference vs register-blocked timings
+// for the GEMM shapes the nn layers run, written as JSON for regression
+// tracking.
 //
 //   micro_kernels [--out BENCH_kernels.json] [--sizes 1048576,16777216,...]
-//                 [--reps 5] [--threads N]
+//                 [--reps 5] [--threads N] [--min-gemm-speedup X]
 //
 // Per kernel and size the harness reports the best-of-reps seconds for
 //   * scalar   — the original element-at-a-time loops (*_scalar),
@@ -13,6 +15,14 @@
 // plus the speedup ratios scalar/word and scalar/sharded.  The word kernels
 // are bit-identical to the scalar references (tests/compress_kernels_test),
 // so this file measures pure throughput, not accuracy trade-offs.
+//
+// The GEMM rows time each ResNet20-mini conv product (forward, dW, dcols
+// per stage) and the text classifier's Linear products with the
+// matmul*_reference loops and with the blocked kernel (bit-identical,
+// tests/tensor_test).  `--min-gemm-speedup X` exits non-zero when the
+// aggregate speedup (summed reference seconds over summed blocked seconds)
+// lands below X; CI's bench-smoke job pins the committed floor.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,12 +70,29 @@ struct KernelResult {
   double sharded_seconds = 0.0;
 };
 
+struct GemmResult {
+  std::string product;
+  std::string entry;
+  std::size_t m = 0;
+  std::size_t k = 0;
+  std::size_t n = 0;
+  double reference_seconds = 0.0;
+  double blocked_seconds = 0.0;
+};
+
 struct Options {
   std::string out = "BENCH_kernels.json";
   std::vector<std::size_t> sizes = {1u << 20, 1u << 24, 1u << 26};
   std::size_t reps = 5;
-  std::size_t threads = 0;  // 0 = hardware concurrency
+  std::size_t threads = 0;         // 0 = hardware concurrency
+  double min_gemm_speedup = 0.0;   // 0 = report only
 };
+
+/// Floor for the aggregate GEMM speedup, committed to BENCH_kernels.json
+/// and enforced by CI's bench-smoke job.  Measured on the generic arm
+/// (-DMARSIT_NATIVE=OFF, SSE2 vectors): 1.9-2.1x across runs on a shared
+/// 4-core x86-64 host; the floor keeps a margin for noisy CI runners.
+constexpr double kGemmSpeedupFloor = 1.4;
 
 std::size_t parse_count(const std::string& text, const char* flag) {
   try {
@@ -111,10 +138,12 @@ Options parse_options(int argc, char** argv) {
       opt.reps = parse_count(value(), "--reps");
     } else if (arg == "--threads") {
       opt.threads = parse_count(value(), "--threads");
+    } else if (arg == "--min-gemm-speedup") {
+      opt.min_gemm_speedup = std::atof(value().c_str());
     } else {
       std::fprintf(stderr,
                    "usage: micro_kernels [--out FILE] [--sizes N,N,...] "
-                   "[--reps R] [--threads T]\n");
+                   "[--reps R] [--threads T] [--min-gemm-speedup X]\n");
       std::exit(2);
     }
   }
@@ -263,8 +292,131 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
   return results;
 }
 
+enum class GemmEntry { kMatmul, kAtB, kABt };
+
+struct GemmCase {
+  const char* product;
+  GemmEntry entry;
+  std::size_t m, k, n;
+  /// The layer used to run this product the other way round (dW rather
+  /// than dWᵀ): time the reference on the swapped operands, m and n
+  /// exchanged, so the row compares the old call with the new one.
+  bool swapped_reference = false;
+};
+
+/// The products Conv2d runs per sample on ResNet20-mini (one row per stage:
+/// 16×16, 8×8, 4×4 planes) and Linear runs per batch in the text model.
+/// The dW rows accumulate dWᵀ(patch × Cout) += cols · dyᵀ.
+constexpr GemmCase kGemmCases[] = {
+    {"conv_stem_forward", GemmEntry::kMatmul, 8, 27, 256},
+    {"conv1_forward", GemmEntry::kMatmul, 8, 72, 256},
+    {"conv1_dw", GemmEntry::kABt, 72, 256, 8, true},
+    {"conv1_dcols", GemmEntry::kAtB, 72, 8, 256},
+    {"conv2_forward", GemmEntry::kMatmul, 16, 144, 64},
+    {"conv2_dw", GemmEntry::kABt, 144, 64, 16, true},
+    {"conv2_dcols", GemmEntry::kAtB, 144, 16, 64},
+    {"conv3_forward", GemmEntry::kMatmul, 32, 288, 16},
+    {"conv3_dw", GemmEntry::kABt, 288, 16, 32, true},
+    {"conv3_dcols", GemmEntry::kAtB, 288, 32, 16},
+    {"linear_forward", GemmEntry::kABt, 32, 64, 2},
+    {"linear_dw", GemmEntry::kAtB, 2, 32, 64},
+    {"linear_dx", GemmEntry::kMatmul, 32, 2, 64},
+};
+
+const char* entry_name(GemmEntry entry) {
+  switch (entry) {
+    case GemmEntry::kMatmul:
+      return "matmul";
+    case GemmEntry::kAtB:
+      return "matmul_at_b";
+    case GemmEntry::kABt:
+      return "matmul_a_bt";
+  }
+  return "?";
+}
+
+std::vector<GemmResult> run_gemm(std::size_t reps) {
+  // Each timed call repeats the product until it covers ~2M multiply-adds,
+  // so every row times well above the clock's resolution.
+  constexpr double kMacsPerTiming = 2e6;
+  std::vector<GemmResult> results;
+  Rng rng(43);
+  for (const GemmCase& gc : kGemmCases) {
+    std::vector<float> a(gc.m * gc.k), b(gc.k * gc.n), c(gc.m * gc.n);
+    std::vector<float> scratch(gc.k * gc.n);
+    fill_normal({a.data(), a.size()}, rng, 0.0f, 1.0f);
+    fill_normal({b.data(), b.size()}, rng, 0.0f, 1.0f);
+    const std::span<const float> as{a.data(), a.size()};
+    const std::span<const float> bs{b.data(), b.size()};
+    const std::span<float> cs{c.data(), c.size()};
+    const std::span<float> ss{scratch.data(), scratch.size()};
+    const std::size_t calls = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               kMacsPerTiming / static_cast<double>(gc.m * gc.k * gc.n)));
+    const auto repeat = [calls](auto&& fn) {
+      return [calls, &fn] {
+        for (std::size_t i = 0; i < calls; ++i) {
+          fn();
+        }
+      };
+    };
+    const auto reference = [&] {
+      switch (gc.entry) {
+        case GemmEntry::kMatmul:
+          matmul_reference(as, bs, cs, gc.m, gc.k, gc.n);
+          break;
+        case GemmEntry::kAtB:
+          matmul_at_b_reference(as, bs, cs, gc.m, gc.k, gc.n);
+          break;
+        case GemmEntry::kABt:
+          if (gc.swapped_reference) {
+            matmul_a_bt_reference(bs, as, cs, gc.n, gc.k, gc.m);
+          } else {
+            matmul_a_bt_reference(as, bs, cs, gc.m, gc.k, gc.n);
+          }
+          break;
+      }
+    };
+    const auto blocked = [&] {
+      switch (gc.entry) {
+        case GemmEntry::kMatmul:
+          matmul(as, bs, cs, gc.m, gc.k, gc.n);
+          break;
+        case GemmEntry::kAtB:
+          matmul_at_b(as, bs, cs, gc.m, gc.k, gc.n);
+          break;
+        case GemmEntry::kABt:
+          matmul_a_bt(as, bs, cs, gc.m, gc.k, gc.n, ss);
+          break;
+      }
+    };
+    GemmResult r;
+    r.product = gc.product;
+    r.entry = entry_name(gc.entry);
+    r.m = gc.m;
+    r.k = gc.k;
+    r.n = gc.n;
+    const double per_call = 1.0 / static_cast<double>(calls);
+    r.reference_seconds = time_best(reps, repeat(reference)) * per_call;
+    r.blocked_seconds = time_best(reps, repeat(blocked)) * per_call;
+    results.push_back(r);
+  }
+  return results;
+}
+
+/// Summed reference seconds over summed blocked seconds.
+double aggregate_speedup(const std::vector<GemmResult>& gemm) {
+  double reference = 0.0;
+  double blocked = 0.0;
+  for (const GemmResult& r : gemm) {
+    reference += r.reference_seconds;
+    blocked += r.blocked_seconds;
+  }
+  return reference / blocked;
+}
+
 void write_json(const Options& opt, const std::vector<KernelResult>& results,
-                std::size_t threads) {
+                const std::vector<GemmResult>& gemm, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
@@ -287,6 +439,24 @@ void write_json(const Options& opt, const std::vector<KernelResult>& results,
                  r.scalar_seconds / r.word_seconds,
                  r.scalar_seconds / r.sharded_seconds,
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"gemm_arm\": \"%s\",\n", gemm_arm());
+  std::fprintf(f, "  \"gemm_speedup_floor\": %.2f,\n", kGemmSpeedupFloor);
+  std::fprintf(f, "  \"gemm_aggregate_speedup\": %.3f,\n",
+               aggregate_speedup(gemm));
+  std::fprintf(f, "  \"gemm\": [\n");
+  for (std::size_t i = 0; i < gemm.size(); ++i) {
+    const GemmResult& r = gemm[i];
+    std::fprintf(f,
+                 "    {\"product\": \"%s\", \"entry\": \"%s\", "
+                 "\"m\": %zu, \"k\": %zu, \"n\": %zu, "
+                 "\"reference_seconds\": %.9f, \"blocked_seconds\": %.9f, "
+                 "\"speedup\": %.3f}%s\n",
+                 r.product.c_str(), r.entry.c_str(), r.m, r.k, r.n,
+                 r.reference_seconds, r.blocked_seconds,
+                 r.reference_seconds / r.blocked_seconds,
+                 i + 1 < gemm.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -312,7 +482,26 @@ int main(int argc, char** argv) {
       all.push_back(r);
     }
   }
-  write_json(opt, all, pool.num_threads());
+  std::fprintf(stderr, "timing GEMM shapes (%s arm)...\n", gemm_arm());
+  const std::vector<GemmResult> gemm = run_gemm(opt.reps);
+  for (const GemmResult& r : gemm) {
+    std::fprintf(stderr, "  %-18s %-12s %3zux%3zux%3zu  reference %.2fus  "
+                 "blocked %.2fus (%.1fx)\n",
+                 r.product.c_str(), r.entry.c_str(), r.m, r.k, r.n,
+                 r.reference_seconds * 1e6, r.blocked_seconds * 1e6,
+                 r.reference_seconds / r.blocked_seconds);
+  }
+  const double speedup = aggregate_speedup(gemm);
+  std::fprintf(stderr, "  aggregate GEMM speedup %.2fx (floor %.2fx)\n",
+               speedup, kGemmSpeedupFloor);
+  write_json(opt, all, gemm, pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
+  if (opt.min_gemm_speedup > 0.0 && speedup < opt.min_gemm_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: aggregate GEMM speedup %.4fx is below the "
+                 "--min-gemm-speedup floor %.4fx\n",
+                 speedup, opt.min_gemm_speedup);
+    return 1;
+  }
   return 0;
 }

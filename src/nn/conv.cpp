@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -49,76 +50,138 @@ std::string Conv2d::name() const {
          ")";
 }
 
+namespace {
+
+/// Outputs [lo, hi) along one axis whose kernel tap `tap` reads an input
+/// coordinate o·stride + tap − padding inside [0, extent); the outputs
+/// outside it read padding.
+struct ValidRange {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+ValidRange valid_outputs(std::size_t out, std::size_t extent, std::size_t tap,
+                         std::size_t stride, std::size_t padding) {
+  if (tap >= extent + padding) {
+    return {0, 0};
+  }
+  const std::size_t lo =
+      tap >= padding ? 0 : (padding - tap + stride - 1) / stride;
+  const std::size_t hi =
+      std::min(out, (extent + padding - tap - 1) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
+bool Conv2d::flat_taps() const {
+  return stride_ == 1 && out_dims().width == in_.width;
+}
+
 void Conv2d::im2col(const float* x_n, float* cols) const {
   // cols is (Cin·k²) × (out.h·out.w): one ROW per patch component, one
   // COLUMN per output pixel, so the convolution is
   //   y(Cout × plane) = W(Cout × patch) · cols(patch × plane)
   // — a single GEMM per sample with the long `plane` axis innermost and the
-  // result already in NCHW layout (no transposes anywhere).
+  // result already in NCHW layout (no transposes anywhere).  Each tap copies
+  // its valid runs and zeroes only the padding: one run per output row, or
+  // with flat_taps() one run for the whole plane, whose wrap-around columns
+  // are padding and get zeroed afterwards.
   const ImageDims out = out_dims();
   const std::size_t in_plane = in_.height * in_.width;
   const std::size_t out_plane = out.height * out.width;
+  const bool flat = flat_taps();
   std::size_t c = 0;
   for (std::size_t ic = 0; ic < in_.channels; ++ic) {
     const float* x_plane = x_n + ic * in_plane;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
+      const ValidRange ys =
+          valid_outputs(out.height, in_.height, ky, stride_, padding_);
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++c) {
+        const ValidRange xs =
+            valid_outputs(out.width, in_.width, kx, stride_, padding_);
         float* row = cols + c * out_plane;
-        for (std::size_t oy = 0; oy < out.height; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-              static_cast<std::ptrdiff_t>(padding_);
-          float* out_row = row + oy * out.width;
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_.height)) {
-            for (std::size_t ox = 0; ox < out.width; ++ox) {
-              out_row[ox] = 0.0f;
-            }
-            continue;
-          }
-          const float* in_row =
-              x_plane + static_cast<std::size_t>(iy) * in_.width;
-          for (std::size_t ox = 0; ox < out.width; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                static_cast<std::ptrdiff_t>(padding_);
-            out_row[ox] =
-                (ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_.width))
-                    ? in_row[static_cast<std::size_t>(ix)]
-                    : 0.0f;
-          }
+        if (xs.lo == xs.hi || ys.lo == ys.hi) {
+          std::fill(row, row + out_plane, 0.0f);
+          continue;
         }
+        if (flat) {
+          const std::size_t first = ys.lo * out.width + xs.lo;
+          const std::size_t last = (ys.hi - 1) * out.width + xs.hi;
+          const float* src = x_plane + ((first + ky * in_.width + kx) -
+                                        (padding_ * in_.width + padding_));
+          std::fill(row, row + first, 0.0f);
+          std::copy(src, src + (last - first), row + first);
+          std::fill(row + last, row + out_plane, 0.0f);
+          for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+            float* out_row = row + oy * out.width;
+            std::fill(out_row, out_row + xs.lo, 0.0f);
+            std::fill(out_row + xs.hi, out_row + out.width, 0.0f);
+          }
+          continue;
+        }
+        std::fill(row, row + ys.lo * out.width, 0.0f);
+        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+          float* out_row = row + oy * out.width;
+          const float* src = x_plane +
+                             (oy * stride_ + ky - padding_) * in_.width +
+                             (xs.lo * stride_ + kx - padding_);
+          std::fill(out_row, out_row + xs.lo, 0.0f);
+          for (std::size_t ox = xs.lo; ox < xs.hi; ++ox, src += stride_) {
+            out_row[ox] = *src;
+          }
+          std::fill(out_row + xs.hi, out_row + out.width, 0.0f);
+        }
+        std::fill(row + ys.hi * out.width, row + out_plane, 0.0f);
       }
     }
   }
 }
 
-void Conv2d::col2im(const float* cols, float* dx_n) const {
-  // Scatter-add the inverse of im2col (overlapping patches accumulate).
+void Conv2d::col2im(float* cols, float* dx_n) const {
+  // Scatter-add the inverse of im2col: overlapping patches accumulate tap by
+  // tap in im2col's row order, and padding taps are skipped as runs.  With
+  // flat_taps() each tap adds one run for the whole plane after zeroing its
+  // wrap-around columns in `cols`; those then add +0, which is exact because
+  // dx starts at +0 and only ever receives additions, so it never holds −0.
   const ImageDims out = out_dims();
   const std::size_t in_plane = in_.height * in_.width;
   const std::size_t out_plane = out.height * out.width;
+  const bool flat = flat_taps();
   std::size_t c = 0;
   for (std::size_t ic = 0; ic < in_.channels; ++ic) {
     float* dx_plane = dx_n + ic * in_plane;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
+      const ValidRange ys =
+          valid_outputs(out.height, in_.height, ky, stride_, padding_);
       for (std::size_t kx = 0; kx < kernel_; ++kx, ++c) {
-        const float* row = cols + c * out_plane;
-        for (std::size_t oy = 0; oy < out.height; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-              static_cast<std::ptrdiff_t>(padding_);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_.height)) {
-            continue;
+        const ValidRange xs =
+            valid_outputs(out.width, in_.width, kx, stride_, padding_);
+        if (xs.lo == xs.hi || ys.lo == ys.hi) {
+          continue;
+        }
+        float* row = cols + c * out_plane;
+        if (flat) {
+          for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+            float* g_row = row + oy * out.width;
+            std::fill(g_row, g_row + xs.lo, 0.0f);
+            std::fill(g_row + xs.hi, g_row + out.width, 0.0f);
           }
-          float* dx_row = dx_plane + static_cast<std::size_t>(iy) * in_.width;
+          const std::size_t first = ys.lo * out.width + xs.lo;
+          const std::size_t last = (ys.hi - 1) * out.width + xs.hi;
+          float* dst = dx_plane + ((first + ky * in_.width + kx) -
+                                   (padding_ * in_.width + padding_));
+          for (std::size_t q = first; q < last; ++q, ++dst) {
+            *dst += row[q];
+          }
+          continue;
+        }
+        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
           const float* g_row = row + oy * out.width;
-          for (std::size_t ox = 0; ox < out.width; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                static_cast<std::ptrdiff_t>(padding_);
-            if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_.width)) {
-              dx_row[static_cast<std::size_t>(ix)] += g_row[ox];
-            }
+          float* dst = dx_plane + (oy * stride_ + ky - padding_) * in_.width +
+                       (xs.lo * stride_ + kx - padding_);
+          for (std::size_t ox = xs.lo; ox < xs.hi; ++ox, dst += stride_) {
+            *dst += g_row[ox];
           }
         }
       }
@@ -175,7 +238,15 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
   auto dw = grad_storage_.span().subspan(0, weight_count_);
   auto db = grad_storage_.span().subspan(weight_count_, out_channels_);
 
-  std::vector<float> dcols(patch * out_plane);
+  if (dcols_.empty()) {
+    dcols_ = Tensor(patch * out_plane);
+    dy_t_ = Tensor(out_plane * out_channels_);
+    dw_t_ = Tensor(weight_count_);
+  }
+  // The weight gradient accumulates as dWᵀ(patch × Cout) so the kernel's B
+  // operand (dyᵀ) is contiguous along Cout; every element still sums its
+  // terms sample by sample in ascending pixel order.
+  transpose(dw, out_channels_, patch, dw_t_.span());
   zero(dx);
   for (std::size_t n = 0; n < batch; ++n) {
     const float* dy_n = dy.data() + n * out_size();
@@ -189,14 +260,16 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
     }
 
     const float* cols = cached_cols_.data() + n * out_plane * patch;
-    // dW(Cout × patch) += dy(Cout × plane) · cols(patch × plane)ᵀ.
-    matmul_a_bt({dy_n, out_size()}, {cols, patch * out_plane}, dw,
-                out_channels_, out_plane, patch, /*beta=*/1.0f);
+    // dWᵀ(patch × Cout) += cols(patch × plane) · dy(Cout × plane)ᵀ.
+    matmul_a_bt({cols, patch * out_plane}, {dy_n, out_size()}, dw_t_.span(),
+                patch, out_plane, out_channels_, dy_t_.span(),
+                /*beta=*/1.0f);
     // dcols(patch × plane) = Wᵀ(patch × Cout) · dy(Cout × plane).
-    matmul_at_b(w, {dy_n, out_size()}, {dcols.data(), dcols.size()}, patch,
-                out_channels_, out_plane);
-    col2im(dcols.data(), dx.data() + n * in_size());
+    matmul_at_b(w, {dy_n, out_size()}, dcols_.span(), patch, out_channels_,
+                out_plane);
+    col2im(dcols_.data(), dx.data() + n * in_size());
   }
+  transpose(dw_t_.span(), patch, out_channels_, dw);
 }
 
 void Conv2d::init(Rng& rng) {

@@ -57,10 +57,15 @@ class Conv2d final : public Layer {
     return storage_.span().subspan(weight_count_, out_channels_);
   }
 
+  /// Stride 1 with output rows as wide as input rows ("same" padding):
+  /// each tap then maps the input plane onto its patch row by one flat
+  /// offset, so im2col/col2im move one run per tap instead of one per row.
+  bool flat_taps() const;
   /// Expands one sample into patch rows; see forward() for the layout.
   void im2col(const float* x_n, float* cols) const;
-  /// Scatter-adds patch-row gradients back to one sample's input image.
-  void col2im(const float* cols, float* dx_n) const;
+  /// Scatter-adds patch-row gradients back to one sample's input image;
+  /// zeroes the padding entries of `cols` on the way.
+  void col2im(float* cols, float* dx_n) const;
 
   ImageDims in_;
   std::size_t out_channels_;
@@ -72,6 +77,11 @@ class Conv2d final : public Layer {
   Tensor grad_storage_;
   Tensor cached_cols_;   // im2col image cached by forward for backward
   std::size_t cached_batch_ = 0;
+  // Backward scratch, sized on first use: the input-gradient patch rows,
+  // one sample's dyᵀ and the weight gradient transposed to (patch × Cout).
+  Tensor dcols_;
+  Tensor dy_t_;
+  Tensor dw_t_;
 };
 
 class MaxPool2d final : public Layer {

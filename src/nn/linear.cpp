@@ -31,7 +31,10 @@ void Linear::forward(std::span<const float> x, std::size_t batch,
   copy_into(x, cached_input_.span());
 
   // y(b×out) = x(b×in) · Wᵀ, W stored (out×in).
-  matmul_a_bt(x, weights(), y, batch, in_, out_);
+  if (weights_t_.empty()) {
+    weights_t_ = Tensor(in_ * out_);
+  }
+  matmul_a_bt(x, weights(), y, batch, in_, out_, weights_t_.span());
   if (with_bias_) {
     auto b = bias();
     for (std::size_t row = 0; row < batch; ++row) {

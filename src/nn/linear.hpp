@@ -54,6 +54,7 @@ class Linear final : public Layer {
   Tensor storage_;       // [W | b] contiguous so params() is one span
   Tensor grad_storage_;  // same layout
   Tensor cached_input_;
+  Tensor weights_t_;  // Wᵀ scratch for the forward product, sized on first use
 };
 
 }  // namespace marsit

@@ -1,5 +1,5 @@
 // Numeric kernels over flat float spans: BLAS-1 style vector ops plus a
-// blocked GEMM.  These are the only places in the project that touch raw
+// register-blocked GEMM.  These are the only places in the project that touch raw
 // float loops; everything above (optimizers, compressors, layers) composes
 // them.
 //
@@ -64,10 +64,22 @@ std::size_t argmax(std::span<const float> x);
 bool all_finite(std::span<const float> x);
 
 // ---- GEMM -----------------------------------------------------------------
+//
+// All three products run one register-blocked micro-kernel (DESIGN.md §7):
+// it keeps a tile of c in registers for the whole k loop and accumulates
+// every output element in ascending k, one fused multiply-add per term when
+// the build contracts (GCC's C++ default), exactly as the *_reference loops
+// below do.  For finite a and b, and a c holding no −0 when beta ≠ 0, the
+// results are bit-identical to the reference twins (tests/tensor_test.cpp).
 
-/// c = a(m×k) · b(k×n) + beta·c, all row-major.  Blocked i-k-j loop order so
-/// the inner loop is a contiguous axpy; good enough to train the mini models
-/// at interactive speed without an external BLAS.
+/// The GEMM arm this build compiled: "avx512", "avx2" or "generic".
+const char* gemm_arm();
+
+/// dst(cols×rows) = src(rows×cols)ᵀ, both row-major.
+void transpose(std::span<const float> src, std::size_t rows, std::size_t cols,
+               std::span<float> dst);
+
+/// c = a(m×k) · b(k×n) + beta·c, all row-major.
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
             float beta = 0.0f);
@@ -78,8 +90,22 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::size_t n, float beta = 0.0f);
 
 /// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — the backward-inputs product.
+/// `bt` is caller-owned scratch of k·n floats; it receives bᵀ.
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
-                 std::size_t n, float beta = 0.0f);
+                 std::size_t n, std::span<float> bt, float beta = 0.0f);
+
+// Reference twins: the plain i-k-j loops (skipping zero a terms) that the
+// kernel must reproduce bit-for-bit.  Only tests and bench/micro_kernels
+// call them.
+void matmul_reference(std::span<const float> a, std::span<const float> b,
+                      std::span<float> c, std::size_t m, std::size_t k,
+                      std::size_t n, float beta = 0.0f);
+void matmul_at_b_reference(std::span<const float> a, std::span<const float> b,
+                           std::span<float> c, std::size_t m, std::size_t k,
+                           std::size_t n, float beta = 0.0f);
+void matmul_a_bt_reference(std::span<const float> a, std::span<const float> b,
+                           std::span<float> c, std::size_t m, std::size_t k,
+                           std::size_t n, float beta = 0.0f);
 
 }  // namespace marsit

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -204,8 +207,10 @@ TEST_P(MatmulTest, MatchesNaiveReference) {
     }
   }
   std::vector<float> c3(m * n, 0.0f);
+  std::vector<float> scratch(k * n);
   matmul_a_bt({a.data(), a.size()}, {bt.data(), bt.size()},
-              {c3.data(), c3.size()}, m, k, n);
+              {c3.data(), c3.size()}, m, k, n,
+              {scratch.data(), scratch.size()});
   for (std::size_t i = 0; i < c3.size(); ++i) {
     ASSERT_NEAR(c3[i], expected[i], 1e-3f);
   }
@@ -216,6 +221,117 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(1, 32, 8), std::make_tuple(33, 17, 9)));
+
+// Bit-exactness of the register-blocked kernel against the plain loops it
+// replaced: every entry point must reproduce its *_reference twin to the
+// last bit (memcmp), for every tile edge and with ±0 in a — the ReLU-masked
+// operands the layers feed it.
+struct GemmShape {
+  std::size_t m;
+  std::size_t k;
+  std::size_t n;
+};
+
+std::vector<float> normal_values(std::size_t size, Rng& rng) {
+  std::vector<float> v(size);
+  fill_normal({v.data(), v.size()}, rng, 0.0f, 1.0f);
+  return v;
+}
+
+/// N(0,1) draws with about a third masked to +0 and a sixth to −0.
+std::vector<float> masked_values(std::size_t size, Rng& rng) {
+  std::vector<float> v = normal_values(size, rng);
+  for (float& x : v) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 1.0 / 3.0) {
+      x = 0.0f;
+    } else if (u < 0.5) {
+      x = -0.0f;
+    }
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+void expect_bit_exact(const GemmShape& shape, float beta, std::uint64_t seed) {
+  const auto [m, k, n] = shape;
+  Rng rng(seed);
+  const std::vector<float> a = masked_values(m * k, rng);
+  const std::vector<float> b = normal_values(k * n, rng);
+  // beta = 0 must overwrite c, so start it as NaN there.
+  const std::vector<float> c0 =
+      beta == 0.0f
+          ? std::vector<float>(m * n, std::numeric_limits<float>::quiet_NaN())
+          : normal_values(m * n, rng);
+  const std::span<const float> a_span{a.data(), a.size()};
+  const std::span<const float> b_span{b.data(), b.size()};
+  std::vector<float> scratch(k * n);
+  std::ostringstream where;
+  where << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+
+  // a is read as m×k, as k×m (matmul_at_b) and b as k×n or n×k.
+  std::vector<float> got = c0, want = c0;
+  matmul(a_span, b_span, {got.data(), got.size()}, m, k, n, beta);
+  matmul_reference(a_span, b_span, {want.data(), want.size()}, m, k, n, beta);
+  EXPECT_TRUE(same_bits(got, want)) << "matmul " << where.str();
+
+  got = c0;
+  want = c0;
+  matmul_at_b(a_span, b_span, {got.data(), got.size()}, m, k, n, beta);
+  matmul_at_b_reference(a_span, b_span, {want.data(), want.size()}, m, k, n,
+                        beta);
+  EXPECT_TRUE(same_bits(got, want)) << "matmul_at_b " << where.str();
+
+  got = c0;
+  want = c0;
+  matmul_a_bt(a_span, b_span, {got.data(), got.size()}, m, k, n,
+              {scratch.data(), scratch.size()}, beta);
+  matmul_a_bt_reference(a_span, b_span, {want.data(), want.size()}, m, k, n,
+                        beta);
+  EXPECT_TRUE(same_bits(got, want)) << "matmul_a_bt " << where.str();
+}
+
+class MatmulBitExactTest : public ::testing::TestWithParam<float> {};
+
+TEST_P(MatmulBitExactTest, ModelShapes) {
+  // Conv2d's products on ResNet20-mini (forward, dW, dcols) and the text
+  // classifier's Linear head, plus odd sizes on every axis.
+  const GemmShape shapes[] = {{1, 1, 1},    {33, 17, 9},  {8, 72, 256},
+                              {288, 16, 32}, {27, 256, 8}, {32, 64, 2},
+                              {16, 144, 64}, {72, 8, 256}, {32, 288, 16}};
+  std::uint64_t seed = 100;
+  for (const GemmShape& shape : shapes) {
+    expect_bit_exact(shape, GetParam(), ++seed);
+  }
+}
+
+TEST_P(MatmulBitExactTest, EveryEdgeRemainder) {
+  // Rows up to two full tiles plus one (the widest arm has 8-row tiles) and
+  // columns up to two full 32-column blocks plus one (16-lane vectors, two
+  // per block): every full/partial tile combination of every ISA arm.
+  std::uint64_t seed = 1000;
+  for (std::size_t m = 1; m <= 17; ++m) {
+    for (std::size_t n = 1; n <= 65; ++n) {
+      for (const std::size_t k : {1, 5}) {
+        expect_bit_exact({m, k, n}, GetParam(), ++seed);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Betas, MatmulBitExactTest,
+                         ::testing::Values(0.0f, 1.0f, 0.5f));
+
+TEST(OpsTest, TransposeSwapsAxes) {
+  const std::vector<float> src{1, 2, 3, 4, 5, 6};  // 2×3
+  std::vector<float> dst(6);
+  transpose({src.data(), src.size()}, 2, 3, {dst.data(), dst.size()});
+  EXPECT_EQ(dst, (std::vector<float>{1, 4, 2, 5, 3, 6}));
+}
 
 TEST(OpsTest, MatmulBetaAccumulates) {
   std::vector<float> a{1, 0, 0, 1};  // identity 2x2

@@ -146,6 +146,27 @@ TEST(MarsitLintTest, R3FlagsCStyleCastAndRawNew) {
   EXPECT_TRUE(deleted.empty()) << describe(deleted);
 }
 
+TEST(MarsitLintTest, R3CoversTheGemmKernelLayer) {
+  // src/tensor holds the GEMM micro-kernel: the same kernel-safety rules
+  // apply there as in src/compress.
+  const auto shift = lint_source(
+      "src/tensor/fixture.cpp",
+      "unsigned mask(unsigned n) { return (1 << n) - 1; }\n");
+  ASSERT_EQ(shift.size(), 1u) << describe(shift);
+  EXPECT_EQ(shift[0].rule, "kernel-safety");
+
+  const auto cast = lint_source(
+      "src/tensor/fixture.cpp",
+      "int lanes(std::size_t n) { return (int)n; }\n");
+  ASSERT_EQ(cast.size(), 1u) << describe(cast);
+  EXPECT_EQ(cast[0].rule, "kernel-safety");
+
+  const auto sized = lint_source(
+      "src/tensor/fixture.cpp",
+      "unsigned mask(unsigned n) { return (1u << n) - 1u; }\n");
+  EXPECT_TRUE(sized.empty()) << describe(sized);
+}
+
 TEST(MarsitLintTest, R4FlagsUsingNamespaceOnce) {
   const auto findings = lint_source("src/nn/fixture.hpp",
                                     "#pragma once\nusing namespace std;\n");

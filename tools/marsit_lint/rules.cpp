@@ -231,7 +231,7 @@ bool starts_cast_operand(const Token& token) {
 void check_kernel_safety(const FileContext& file, const Rule& rule,
                          std::vector<Finding>& out) {
   if (!file.under("src/compress") && !file.under("src/core") &&
-      !file.under("src/parallel")) {
+      !file.under("src/parallel") && !file.under("src/tensor")) {
     return;
   }
   const auto& tokens = file.lex.tokens;
@@ -736,8 +736,8 @@ const std::vector<Rule>& all_rules() {
        "iteration on digest/wire layers",
        dispatch<check_determinism, 1>},
       {"kernel-safety", "R3",
-       "src/compress + src/core: no raw new/delete, no C-style casts, no "
-       "shifts of plain int literals",
+       "src/compress + src/core + src/parallel + src/tensor: no raw "
+       "new/delete, no C-style casts, no shifts of plain int literals",
        dispatch<check_kernel_safety, 2>},
       {"header-hygiene", "R4",
        "headers: no `using namespace`, no <iostream>, direct includes for "
