@@ -244,8 +244,8 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
     dw_t_ = Tensor(weight_count_);
   }
   // The weight gradient accumulates as dWᵀ(patch × Cout) so the kernel's B
-  // operand (dyᵀ) is contiguous along Cout; every element still sums its
-  // terms sample by sample in ascending pixel order.
+  // operand (dyᵀ) is contiguous along Cout; each element sums its terms
+  // sample by sample in ascending pixel order.
   transpose(dw, out_channels_, patch, dw_t_.span());
   zero(dx);
   for (std::size_t n = 0; n < batch; ++n) {

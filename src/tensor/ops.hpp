@@ -84,19 +84,19 @@ void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
             float beta = 0.0f);
 
-/// c = aᵀ(m×k, stored k×m) · b(k×n) + beta·c — the backward-weights product.
+/// c = aᵀ(m×k, stored k×m) · b(k×n) + beta·c.
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f);
 
-/// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — the backward-inputs product.
+/// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c.
 /// `bt` is caller-owned scratch of k·n floats; it receives bᵀ.
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, std::span<float> bt, float beta = 0.0f);
 
-// Reference twins: the plain i-k-j loops (skipping zero a terms) that the
-// kernel must reproduce bit-for-bit.  Only tests and bench/micro_kernels
+// Reference twins: the plain axpy-form loops, which skip zero a terms, that
+// the kernel must reproduce bit-for-bit.  Only tests and bench/micro_kernels
 // call them.
 void matmul_reference(std::span<const float> a, std::span<const float> b,
                       std::span<float> c, std::size_t m, std::size_t k,
