@@ -3,7 +3,9 @@
 // asserted against a committed golden file — and asserted identical across
 // thread-pool sizes 1, 4, and hardware.  One extra case trains ResNet20-mini
 // on SyntheticImages so the Conv2d path (im2col, col2im and all three GEMM
-// entry points) is pinned bit-for-bit too.
+// entry points) is pinned bit-for-bit too; another trains the Adam text
+// classifier on a 2x2 torus in reduce-scatter mode, with a chunk grid fine
+// enough that every pool size above 1 fans the sync passes out.
 //
 // The pool-size invariance check is unconditional: it guards the sharded
 // pipelines' (seed, round, chunk) rng discipline.  The golden-file check
@@ -26,6 +28,7 @@
 
 #include "data/synthetic_digits.hpp"
 #include "data/synthetic_images.hpp"
+#include "data/synthetic_sentiment.hpp"
 #include "nn/models.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/trainer.hpp"
@@ -54,10 +57,12 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+enum class GoldenModel { kMlp, kResnet, kTextTorusRs };
+
 struct GoldenCase {
   const char* key;
   SyncMethod method;
-  bool resnet = false;
+  GoldenModel model = GoldenModel::kMlp;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -67,7 +72,8 @@ constexpr GoldenCase kCases[] = {
     {"ssdm-rar", SyncMethod::kSsdm},
     {"cascading-rar", SyncMethod::kCascading},
     {"marsit-rar", SyncMethod::kMarsit},
-    {"marsit-resnet-ring", SyncMethod::kMarsit, /*resnet=*/true},
+    {"marsit-resnet-ring", SyncMethod::kMarsit, GoldenModel::kResnet},
+    {"marsit-text-torus-rs", SyncMethod::kMarsit, GoldenModel::kTextTorusRs},
 };
 
 /// FNV digest of the final parameters and the TrainResult accounting.
@@ -163,8 +169,59 @@ std::uint64_t run_resnet_digest(ThreadPool* pool) {
   return digest_of(trainer, result);
 }
 
+/// The sentiment_analysis example's Marsit configuration, shrunk: 4 Adam
+/// workers on a 2x2 torus train the text classifier (vocab 1000 x 16, about
+/// 16K parameters) in reduce-scatter mode for 6 rounds; rounds 0 and 5 are
+/// max-norm-clipped full-precision flushes.  The 1024-element chunk grid
+/// gives 16 chunks, so pools of 4 and more run the sync passes in parallel.
+std::uint64_t run_text_torus_rs_digest(ThreadPool* pool) {
+  SyntheticSentimentConfig data_config;
+  data_config.vocab_size = 1000;
+  SyntheticSentiment sentiment(data_config);
+  SyncConfig sync_config;
+  sync_config.num_workers = 4;
+  sync_config.paradigm = MarParadigm::kTorus2d;
+  sync_config.torus_rows = 2;
+  sync_config.torus_cols = 2;
+  sync_config.sync_mode = SyncMode::kReduceScatter;
+  sync_config.seed = 2024;
+  sync_config.pool = pool;
+  sync_config.shard_chunk_elements = 1024;
+
+  MethodOptions options;
+  options.eta_s = 1e-3f;
+  options.full_precision_period = 5;
+  options.full_precision_max_norm = 0.5f;
+  auto strategy = make_sync_strategy(SyncMethod::kMarsit, sync_config, options);
+
+  TrainerConfig config;
+  config.batch_size_per_worker = 16;
+  config.optimizer = OptimizerKind::kAdam;
+  config.eta_l = 0.02f;
+  config.rounds = 6;
+  config.eval_interval = 6;
+  config.eval_samples = 128;
+  config.seed = 99;
+  config.track_matching_rate = true;
+  auto factory = [&sentiment] {
+    return make_text_classifier(sentiment.vocab_size(), sentiment.seq_len(),
+                                16, sentiment.num_classes());
+  };
+  DistributedTrainer trainer(sentiment, factory, *strategy, config);
+  const TrainResult result = trainer.train();
+  return digest_of(trainer, result);
+}
+
 std::uint64_t run_digest(const GoldenCase& c, ThreadPool* pool) {
-  return c.resnet ? run_resnet_digest(pool) : run_mlp_digest(c.method, pool);
+  switch (c.model) {
+    case GoldenModel::kResnet:
+      return run_resnet_digest(pool);
+    case GoldenModel::kTextTorusRs:
+      return run_text_torus_rs_digest(pool);
+    case GoldenModel::kMlp:
+      break;
+  }
+  return run_mlp_digest(c.method, pool);
 }
 
 std::string golden_path() {
