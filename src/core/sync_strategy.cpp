@@ -114,6 +114,18 @@ void publish_sync_metrics(const SyncStepResult& result, bool degraded) {
   completion_seconds.observe(result.timing.completion_seconds);
 }
 
+/// Marsit's compensation update c ← (u + c) − g, element-wise.  It
+/// recomputes the pack pass's u + c instead of reading a stored copy; the
+/// float sum is evaluated exactly as `add` evaluates it, so c ends equal to
+/// sub(add(u, c), g) bit for bit.
+void update_compensation(std::span<const float> u, std::span<const float> g,
+                         std::span<float> c) {
+  const std::size_t n = c.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    c[i] = (u[i] + c[i]) - g[i];
+  }
+}
+
 }  // namespace
 
 SyncStrategy::SyncStrategy(SyncConfig config)
@@ -966,9 +978,6 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   }
   MARSIT_CHECK(compensation_.front().size() == d)
       << "gradient dimension changed between rounds";
-  if (adjusted_.empty() || adjusted_.front().size() != d) {
-    adjusted_.assign(m, Tensor(d));
-  }
 
   SyncStepResult result;
   const bool full_precision =
@@ -980,24 +989,35 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   // when they return (Algorithm 1's line 1 still folds it in).
   const auto& active = active_workers();
   const std::size_t s = active.size();
+  ThreadPool& pool = strategy_pool(config_);
+  const ShardPlan plan(d, config_.shard_chunk_elements);
+  MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
 
   if (full_precision) {
-    // Lines 12–13: exact mean of u_m + c_m, compensation reset.
-    WorkerSpans adjusted_spans;
-    adjusted_spans.reserve(s);
-    for (const std::size_t w : active) {
-      add(inputs[w], compensation_[w].span(), adjusted_[w].span());
-      adjusted_spans.push_back(adjusted_[w].span());
-    }
-    aggregate_mean(adjusted_spans, out);
+    // Lines 12–13: exact mean of u_m + c_m, compensation reset — one flat
+    // chunk pass.  Per element it runs aggregate_mean's ops in its order
+    // (zero, += each survivor's u + c, × 1/s), so the chunking is exact.
+    const auto flush_chunk = [&](std::size_t c, ScratchArena& arena) {
+      const Shard shard = plan.chunk(c);
+      const std::size_t n = shard.size();
+      const auto out_chunk = out.subspan(shard.begin, n);
+      const auto adjusted = arena.floats(n);
+      zero(out_chunk);
+      for (const std::size_t w : active) {
+        const auto comp = compensation_[w].span().subspan(shard.begin, n);
+        add(inputs[w].subspan(shard.begin, n), comp, adjusted);
+        axpy(1.0f, adjusted, out_chunk);
+        zero(comp);
+      }
+      scale(out_chunk, 1.0f / static_cast<float>(s));
+    };
+    run_chunk_pass(pool, plan.num_chunks(), flush_chunk);
+    // The norm is an ordered reduction over the whole vector: serial.
     if (options_.full_precision_max_norm > 0.0f) {
       const float norm = l2_norm(out);
       if (norm > options_.full_precision_max_norm) {
         scale(out, options_.full_precision_max_norm / norm);
       }
-    }
-    for (const std::size_t w : active) {
-      compensation_[w].zero();
     }
     result.timing =
         mar_timing(d, full_precision_wire(), &result.chunk_stages);
@@ -1018,69 +1038,65 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     signs_.assign(m, BitVector(d));
   }
   const std::uint64_t round_seed = derive_seed(config_.seed, round_);
-  const ShardPlan plan(d, config_.shard_chunk_elements);
-  MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
-  // Three-lane pipeline mirroring the wire's pack → transfer → fold shape:
-  // chunk c+1 packs while chunk c runs its ⊙ reduction and chunk c−1
-  // unpacks/compensates.  Sign packing consumes no rng, so creating the
-  // chunk's stream at the head of the fold stage draws exactly the values
-  // the old single-loop body drew — outputs stay bit-identical.
-  // Line 1 of Algorithm 1: fold the compensation into the update and
-  // pack the signs, per survivor.
-  const PipelineStage pack_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
+  // Line 1 of Algorithm 1, fused with the sign packing: u + c lives only in
+  // a chunk-sized arena block, per survivor.
+  const auto pack_chunk = [&](std::size_t c, ScratchArena& arena) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const std::size_t w0 = shard.word_begin();
     const std::size_t nw = shard.num_words();
+    const auto adjusted = arena.floats(n);
     for (std::size_t i = 0; i < s; ++i) {
       const std::size_t w = active[i];
-      const auto adjusted_chunk = adjusted_[w].span().subspan(shard.begin, n);
       add(inputs[w].subspan(shard.begin, n),
-          compensation_[w].span().subspan(shard.begin, n), adjusted_chunk);
-      kernels::pack_signs_words(adjusted_chunk,
-                                signs_[i].words().subspan(w0, nw));
+          compensation_[w].span().subspan(shard.begin, n), adjusted);
+      kernels::pack_signs_words(adjusted, signs_[i].words().subspan(w0, nw));
     }
-  }};
-  // Lines 4–8 (legacy mode): the ⊙ reduction, in place over this chunk's
-  // words, with the chunk's own rng stream.
-  const PipelineStage fold_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
-    const Shard shard = plan.chunk(c);
-    Rng rng = marsit_chunk_rng(round_seed, c);
-    fold_signs_words(signs_, s, shard.word_begin(), shard.num_words(), rng);
-  }};
-  // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
-  const PipelineStage unpack_stage{[&](std::size_t c,
-                                       ScratchArena& /*arena*/) {
+  };
+  // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = (u + c) − g_t.
+  // The pack's u + c is recomputed here rather than kept: the compensation
+  // chunk is untouched between the two passes and fl(u + c) is a pure
+  // function of its operands, so the update is bit-identical.
+  const auto unpack_chunk = [&](std::size_t c, ScratchArena& /*arena*/) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const auto out_chunk = out.subspan(shard.begin, n);
     kernels::unpack_signs_words(
-        signs_.front().words().subspan(shard.word_begin(),
-                                       shard.num_words()),
+        signs_.front().words().subspan(shard.word_begin(), shard.num_words()),
         options_.eta_s, out_chunk);
     if (options_.use_compensation) {
       for (const std::size_t w : active) {
-        sub(adjusted_[w].span().subspan(shard.begin, n), out_chunk,
-            compensation_[w].span().subspan(shard.begin, n));
+        update_compensation(inputs[w].subspan(shard.begin, n), out_chunk,
+                            compensation_[w].span().subspan(shard.begin, n));
       }
     }
-  }};
+  };
   if (config_.sync_mode == SyncMode::kReduceScatter) {
-    // Reduce-scatter rounds keep the pack and unpack stages chunk-parallel
-    // (they consume no rng), but fold once over the full word range: the
-    // segment-seeded chains partition the words by fabric segment — the
-    // reduce-scatter ownership grid — not by shard chunk.
-    const PipelineStage pack_only[] = {pack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), pack_only);
+    // Pack and unpack consume no rng and own disjoint chunks, so each is
+    // one flat chunk pass; the fold runs once over the full word range in
+    // between — the segment-seeded chains partition the words by fabric
+    // segment (the reduce-scatter ownership grid), not by shard chunk.
+    run_chunk_pass(pool, plan.num_chunks(), pack_chunk);
     marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
                                 config_.torus_cols, signs_, s,
                                 signs_.front().words().size(), round_seed);
-    const PipelineStage unpack_only[] = {unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(),
-                       unpack_only);
+    run_chunk_pass(pool, plan.num_chunks(), unpack_chunk);
   } else {
-    const PipelineStage stages[] = {pack_stage, fold_stage, unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), stages);
+    // Legacy mode folds per chunk with the chunk's own rng stream, so the
+    // three lanes pipeline: chunk c+1 packs while chunk c runs its ⊙
+    // reduction and chunk c−1 unpacks.  Sign packing consumes no rng, so
+    // creating the chunk's stream at the head of the fold stage draws
+    // exactly the values a single-loop body would.
+    const PipelineStage stages[] = {
+        {pack_chunk},
+        {[&](std::size_t c, ScratchArena& /*arena*/) {
+          const Shard shard = plan.chunk(c);
+          Rng rng = marsit_chunk_rng(round_seed, c);
+          fold_signs_words(signs_, s, shard.word_begin(), shard.num_words(),
+                           rng);
+        }},
+        {unpack_chunk}};
+    run_chunk_pipeline(pool, plan.num_chunks(), stages);
   }
 
   result.timing = mar_timing(d, marsit_wire(config_.cost_model),

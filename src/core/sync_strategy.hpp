@@ -434,7 +434,6 @@ class MarsitSync final : public SyncStrategy {
 
   MarsitOptions options_;
   std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized
-  std::vector<Tensor> adjusted_;      // u_m + c_m scratch, lazily sized
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
 };
 

@@ -76,19 +76,32 @@ void AdamOptimizer::transform(std::span<const float> grad,
     step_ = 0;
   }
   ++step_;
-  auto m = m_.span();
-  auto v = v_.span();
   const double bc1 =
       1.0 - std::pow(static_cast<double>(beta1_), static_cast<double>(step_));
   const double bc2 =
       1.0 - std::pow(static_cast<double>(beta2_), static_cast<double>(step_));
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad[i];
-    v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad[i] * grad[i];
-    const double m_hat = static_cast<double>(m[i]) / bc1;
-    const double v_hat = static_cast<double>(v[i]) / bc2;
-    direction[i] = static_cast<float>(
-        m_hat / (std::sqrt(v_hat) + static_cast<double>(epsilon_)));
+  // Locals, not members: a store through `direction` could alias beta1_ and
+  // friends, which would force a reload per element and block the
+  // vectorizer.  The ops and their order are the scalar loop's; with
+  // -fno-math-errno (this file only, src/nn/CMakeLists.txt) std::sqrt has
+  // no errno branch and compiles to the correctly rounded sqrt instruction.
+  const float beta1 = beta1_;
+  const float beta2 = beta2_;
+  const float one_minus_beta1 = 1.0f - beta1_;
+  const float one_minus_beta2 = 1.0f - beta2_;
+  const double epsilon = static_cast<double>(epsilon_);
+  float* const m = m_.data();
+  float* const v = v_.data();
+  const std::size_t n = grad.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = grad[i];
+    const float m_i = beta1 * m[i] + one_minus_beta1 * g;
+    const float v_i = beta2 * v[i] + one_minus_beta2 * g * g;
+    m[i] = m_i;
+    v[i] = v_i;
+    const double m_hat = static_cast<double>(m_i) / bc1;
+    const double v_hat = static_cast<double>(v_i) / bc2;
+    direction[i] = static_cast<float>(m_hat / (std::sqrt(v_hat) + epsilon));
   }
 }
 

@@ -190,4 +190,25 @@ void run_chunk_pipeline(ThreadPool& pool, std::size_t num_chunks,
   pool.wait_idle();
 }
 
+bool chunk_pass_fans_out(const ThreadPool& pool, std::size_t num_chunks) {
+  return num_chunks >= pool.num_threads();
+}
+
+void run_chunk_pass(
+    ThreadPool& pool, std::size_t num_chunks,
+    const std::function<void(std::size_t chunk, ScratchArena& arena)>& body) {
+  const auto run_one = [&body](std::size_t c) {
+    ScratchArena& arena = this_thread_arena();
+    arena.reset();
+    body(c, arena);
+  };
+  if (chunk_pass_fans_out(pool, num_chunks)) {
+    parallel_for(pool, num_chunks, run_one);
+    return;
+  }
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    run_one(c);
+  }
+}
+
 }  // namespace marsit

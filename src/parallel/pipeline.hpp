@@ -95,4 +95,20 @@ struct PipelineStage {
 void run_chunk_pipeline(ThreadPool& pool, std::size_t num_chunks,
                         std::span<const PipelineStage> stages);
 
+/// The grain rule of flat chunk passes: a pass of `num_chunks` independent
+/// chunks fans out over the pool only when every pool thread gets at least
+/// one chunk.  Below that, a pool round trip costs more than the few small
+/// chunks it would spread (a 2-chunk payload runs faster inline).
+bool chunk_pass_fans_out(const ThreadPool& pool, std::size_t num_chunks);
+
+/// Runs body(c, arena) once for every chunk c in [0, num_chunks) as one flat
+/// pass: no ordering between chunks, so it is only for bodies that touch
+/// disjoint ranges and consume no shared rng stream.  Fans out in contiguous
+/// blocks (parallel_for) when chunk_pass_fans_out allows it, else runs inline
+/// in chunk order; outputs are identical either way.  Each body receives the
+/// executing thread's arena, reset before the call.
+void run_chunk_pass(
+    ThreadPool& pool, std::size_t num_chunks,
+    const std::function<void(std::size_t chunk, ScratchArena& arena)>& body);
+
 }  // namespace marsit

@@ -8,6 +8,8 @@
 #include "nn/loss.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/pipeline.hpp"
+#include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -225,8 +227,20 @@ TrainResult DistributedTrainer::train() {
       totals.matching_total += round_matching_rate;
     }
 
-    for (auto& replica : replicas_) {
-      replica.apply_update(global_update_.span());
+    // Replicas are independent, so the O(M·D) apply fans out under the sync
+    // passes' grain rule, applied to the parameter vector's chunk grid.
+    ThreadPool& pool = global_thread_pool();
+    const std::size_t apply_chunks =
+        ShardPlan(param_count_, strategy_.config().shard_chunk_elements)
+            .num_chunks();
+    if (config_.parallel_workers && chunk_pass_fans_out(pool, apply_chunks)) {
+      parallel_for(pool, m, [&](std::size_t w) {
+        replicas_[w].apply_update(global_update_.span());
+      });
+    } else {
+      for (auto& replica : replicas_) {
+        replica.apply_update(global_update_.span());
+      }
     }
 
     cumulative_seconds_ += compute_seconds + step.timing.completion_seconds;

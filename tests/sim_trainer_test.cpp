@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic_digits.hpp"
 #include "nn/models.hpp"
 #include "util/check.hpp"
@@ -77,6 +80,39 @@ TEST_F(TrainerTest, ParallelAndSerialWorkersAgree) {
     return trainer.train().final_test_accuracy;
   };
   EXPECT_DOUBLE_EQ(run_with(true), run_with(false));
+}
+
+TEST_F(TrainerTest, ParallelApplyMatchesSerial) {
+  // A 512-element chunk grid gives the MLP's parameter vector far more
+  // chunks than pool threads, so the parallel run fans the replica apply
+  // out; the parameters must match the serial run bit for bit.
+  auto run_with = [&](bool parallel) {
+    SyncConfig sync_config = ring_config(4);
+    sync_config.sync_mode = SyncMode::kReduceScatter;
+    sync_config.shard_chunk_elements = 512;
+    MarsitOptions options;
+    options.eta_s = 2e-3f;
+    options.full_precision_period = 3;
+    MarsitSync strategy(sync_config, options);
+    TrainerConfig config;
+    config.rounds = 5;
+    config.eval_interval = 5;
+    config.eval_samples = 64;
+    config.eta_l = 0.05f;
+    config.optimizer = OptimizerKind::kAdam;
+    config.parallel_workers = parallel;
+    DistributedTrainer trainer(digits_, digit_model(), strategy, config);
+    trainer.train();
+    std::vector<float> params(trainer.param_count());
+    trainer.copy_params_into({params.data(), params.size()});
+    return params;
+  };
+  const std::vector<float> parallel = run_with(true);
+  const std::vector<float> serial = run_with(false);
+  ASSERT_EQ(parallel.size(), serial.size());
+  EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                        serial.size() * sizeof(float)),
+            0);
 }
 
 TEST_F(TrainerTest, MarsitTracksMatchingRate) {
