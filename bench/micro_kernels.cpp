@@ -22,8 +22,16 @@
 // tests/tensor_test).  `--min-gemm-speedup X` exits non-zero when the
 // aggregate speedup (summed reference seconds over summed blocked seconds)
 // lands below X; CI's bench-smoke job pins the committed floor.
+//
+// The dense rows time the large-D round's O(M·D) layers at the
+// text_wide_torus width (D = 3,204,290): the Adam step as the scalar member
+// loop vs the shipped vectorized one (bit-identical, tests/nn_optimizer_test),
+// and a Marsit reduce-scatter one-bit round and flush round on a 2x2 torus
+// with a 1-thread pool vs the --threads pool (bit-identical for any pool,
+// tests/core_sharded_sync_test).
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +42,8 @@
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
 #include "core/one_bit.hpp"
+#include "core/sync_strategy.hpp"
+#include "nn/optimizer.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -78,6 +88,15 @@ struct GemmResult {
   std::size_t n = 0;
   double reference_seconds = 0.0;
   double blocked_seconds = 0.0;
+};
+
+struct DenseResult {
+  std::string row;
+  std::size_t elements = 0;
+  std::string baseline;
+  std::string optimized;
+  double baseline_seconds = 0.0;
+  double optimized_seconds = 0.0;
 };
 
 struct Options {
@@ -404,6 +423,105 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
   return results;
 }
 
+/// The text_wide_torus parameter count: a 50000 × 64 embedding plus the
+/// 64 → 2 classifier.
+constexpr std::size_t kDenseElements = 3204290;
+
+/// The Adam step as the scalar member loop it was before vectorization
+/// (hyperparameters reloaded through `this`, std::sqrt's errno branch in the
+/// loop; this file is compiled without -fno-math-errno).
+struct ScalarAdam {
+  float beta1_ = 0.9f;
+  float beta2_ = 0.999f;
+  float epsilon_ = 1e-8f;
+  std::vector<float> m_, v_;
+  std::size_t step_ = 0;
+
+  void transform(std::span<const float> grad, std::span<float> direction) {
+    if (m_.size() != grad.size()) {
+      m_.assign(grad.size(), 0.0f);
+      v_.assign(grad.size(), 0.0f);
+      step_ = 0;
+    }
+    ++step_;
+    const double bc1 =
+        1.0 - std::pow(static_cast<double>(beta1_), static_cast<double>(step_));
+    const double bc2 =
+        1.0 - std::pow(static_cast<double>(beta2_), static_cast<double>(step_));
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      m_[i] = beta1_ * m_[i] + (1.0f - beta1_) * grad[i];
+      v_[i] = beta2_ * v_[i] + (1.0f - beta2_) * grad[i] * grad[i];
+      const double m_hat = static_cast<double>(m_[i]) / bc1;
+      const double v_hat = static_cast<double>(v_[i]) / bc2;
+      direction[i] = static_cast<float>(
+          m_hat / (std::sqrt(v_hat) + static_cast<double>(epsilon_)));
+    }
+  }
+};
+
+/// Best-of-reps seconds of one MarsitSync round (reduce-scatter, 2x2 torus)
+/// over `inputs` on `pool`: one-bit rounds, or flush rounds every round.
+double time_marsit_round(std::size_t reps, ThreadPool& pool,
+                         const WorkerSpans& inputs, bool flush) {
+  SyncConfig config;
+  config.num_workers = inputs.size();
+  config.paradigm = MarParadigm::kTorus2d;
+  config.torus_rows = 2;
+  config.torus_cols = 2;
+  config.sync_mode = SyncMode::kReduceScatter;
+  config.pool = &pool;
+  MarsitOptions options;
+  options.full_precision_period = flush ? 1 : 0;
+  MarsitSync strategy(config, options);
+  std::vector<float> out(inputs.front().size());
+  return time_best(reps, [&] {
+    strategy.synchronize(inputs, {out.data(), out.size()});
+  });
+}
+
+std::vector<DenseResult> run_dense(std::size_t reps, ThreadPool& pool) {
+  const std::size_t d = kDenseElements;
+  std::vector<DenseResult> results;
+  Rng rng(44);
+  std::vector<std::vector<float>> grads(4, std::vector<float>(d));
+  WorkerSpans spans;
+  for (auto& g : grads) {
+    fill_normal({g.data(), d}, rng, 0.0f, 1e-3f);
+    spans.emplace_back(g.data(), d);
+  }
+  std::vector<float> direction(d);
+  const std::span<float> directions{direction.data(), d};
+
+  {
+    DenseResult r;
+    r.row = "adam_step";
+    r.elements = d;
+    r.baseline = "scalar_loop";
+    r.optimized = "shipped";
+    ScalarAdam scalar;
+    AdamOptimizer shipped;
+    r.baseline_seconds =
+        time_best(reps, [&] { scalar.transform(spans[0], directions); });
+    r.optimized_seconds =
+        time_best(reps, [&] { shipped.transform(spans[0], directions); });
+    results.push_back(r);
+  }
+
+  ThreadPool serial(1);
+  const std::string pooled = "pool_" + std::to_string(pool.num_threads());
+  for (const bool flush : {false, true}) {
+    DenseResult r;
+    r.row = flush ? "marsit_rs_flush_round" : "marsit_rs_round";
+    r.elements = d;
+    r.baseline = "pool_1";
+    r.optimized = pooled;
+    r.baseline_seconds = time_marsit_round(reps, serial, spans, flush);
+    r.optimized_seconds = time_marsit_round(reps, pool, spans, flush);
+    results.push_back(r);
+  }
+  return results;
+}
+
 /// Summed reference seconds over summed blocked seconds.
 double aggregate_speedup(const std::vector<GemmResult>& gemm) {
   double reference = 0.0;
@@ -416,7 +534,8 @@ double aggregate_speedup(const std::vector<GemmResult>& gemm) {
 }
 
 void write_json(const Options& opt, const std::vector<KernelResult>& results,
-                const std::vector<GemmResult>& gemm, std::size_t threads) {
+                const std::vector<GemmResult>& gemm,
+                const std::vector<DenseResult>& dense, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
@@ -458,6 +577,20 @@ void write_json(const Options& opt, const std::vector<KernelResult>& results,
                  r.reference_seconds / r.blocked_seconds,
                  i + 1 < gemm.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"dense\": [\n");
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    const DenseResult& r = dense[i];
+    std::fprintf(f,
+                 "    {\"row\": \"%s\", \"elements\": %zu, "
+                 "\"baseline\": \"%s\", \"optimized\": \"%s\", "
+                 "\"baseline_seconds\": %.9f, \"optimized_seconds\": %.9f, "
+                 "\"speedup\": %.3f}%s\n",
+                 r.row.c_str(), r.elements, r.baseline.c_str(),
+                 r.optimized.c_str(), r.baseline_seconds, r.optimized_seconds,
+                 r.baseline_seconds / r.optimized_seconds,
+                 i + 1 < dense.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
@@ -494,7 +627,16 @@ int main(int argc, char** argv) {
   const double speedup = aggregate_speedup(gemm);
   std::fprintf(stderr, "  aggregate GEMM speedup %.2fx (floor %.2fx)\n",
                speedup, kGemmSpeedupFloor);
-  write_json(opt, all, gemm, pool.num_threads());
+  std::fprintf(stderr, "timing the dense round layers at D = %zu...\n",
+               kDenseElements);
+  const std::vector<DenseResult> dense = run_dense(opt.reps, pool);
+  for (const DenseResult& r : dense) {
+    std::fprintf(stderr, "  %-22s %s %.2fms  %s %.2fms (%.1fx)\n",
+                 r.row.c_str(), r.baseline.c_str(), r.baseline_seconds * 1e3,
+                 r.optimized.c_str(), r.optimized_seconds * 1e3,
+                 r.baseline_seconds / r.optimized_seconds);
+  }
+  write_json(opt, all, gemm, dense, pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
   if (opt.min_gemm_speedup > 0.0 && speedup < opt.min_gemm_speedup) {
     std::fprintf(stderr,
