@@ -7,9 +7,13 @@
 // backend must finish with bit-identical parameters, witnessed by FNV-1a
 // digests.  The α–β predictions and wire accounting must also agree
 // bit-for-bit across the two transport backends, and the per-rank payload
-// bits must sum to the round's total on every backend.
+// bits must sum to the round's total on every backend.  Each cell's
+// per-round prediction and total wire bits are also pinned to exact double
+// bits, so a change to a hop schedule cannot move them unnoticed.
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -170,7 +174,29 @@ void check_reports(const std::vector<dist::WorkerResult>& results,
   }
 }
 
-void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world) {
+/// FNV-1a over the exact bits of every round's (predicted_comm_seconds,
+/// total_wire_bits) pair; the per-round values are printed on a mismatch.
+void expect_pinned_predictions(const dist::WorkerResult& result,
+                               std::uint64_t pinned) {
+  std::vector<double> values;
+  std::ostringstream rounds;
+  for (const dist::RoundReport& report : result.rounds) {
+    values.push_back(report.predicted_comm_seconds);
+    values.push_back(report.total_wire_bits);
+    char line[96];
+    std::snprintf(line, sizeof(line), "\n  round %zu: %a s, %a bits",
+                  report.round, report.predicted_comm_seconds,
+                  report.total_wire_bits);
+    rounds << line;
+  }
+  const std::uint64_t digest =
+      ckpt::fnv1a(values.data(), values.size() * sizeof(double));
+  EXPECT_EQ(digest, pinned) << "prediction digest 0x" << std::hex << digest
+                            << rounds.str();
+}
+
+void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world,
+              std::uint64_t pinned_predictions) {
   SCOPED_TRACE(testing::Message()
                << mar_paradigm_name(paradigm) << " / " << sync_mode_name(mode)
                << " / " << world << " ranks");
@@ -183,6 +209,7 @@ void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world) {
   for (std::size_t r = 0; r < world; ++r) {
     EXPECT_EQ(sim[r].param_digest, oracle) << "SimTransport rank " << r;
   }
+  expect_pinned_predictions(sim[0], pinned_predictions);
 
   const std::vector<dist::WorkerResult> sockets =
       run_over_sockets(config, world);
@@ -204,43 +231,52 @@ void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world) {
   }
 }
 
-void run_matrix(MarParadigm paradigm, SyncMode mode) {
+/// Runs the 4- and 8-rank cells; `pinned` holds their prediction digests.
+void run_matrix(MarParadigm paradigm, SyncMode mode,
+                const std::uint64_t (&pinned)[2]) {
   set_log_level(LogLevel::kWarning);
-  for (const std::size_t world : {std::size_t{4}, std::size_t{8}}) {
-    run_cell(paradigm, mode, world);
-  }
+  run_cell(paradigm, mode, 4, pinned[0]);
+  run_cell(paradigm, mode, 8, pinned[1]);
 }
 
 TEST(DistCrossBackendTest, RingLegacyAllGather) {
-  run_matrix(MarParadigm::kRing, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kRing, SyncMode::kLegacyAllGather,
+             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
 }
 
 TEST(DistCrossBackendTest, RingReduceScatter) {
-  run_matrix(MarParadigm::kRing, SyncMode::kReduceScatter);
+  run_matrix(MarParadigm::kRing, SyncMode::kReduceScatter,
+             {0x466386f74734cfedull, 0x15cb4abc39077bd5ull});
 }
 
 TEST(DistCrossBackendTest, TorusLegacyAllGather) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kTorus2d, SyncMode::kLegacyAllGather,
+             {0x3bca73afd112defdull, 0x61c8b0904c49bb11ull});
 }
 
 TEST(DistCrossBackendTest, TorusReduceScatter) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kReduceScatter);
+  run_matrix(MarParadigm::kTorus2d, SyncMode::kReduceScatter,
+             {0x8da2c9f0795ae275ull, 0xfa1977b0a52e5b61ull});
 }
 
 TEST(DistCrossBackendTest, ParameterServerLegacyAllGather) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kParameterServer, SyncMode::kLegacyAllGather,
+             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
 }
 
 TEST(DistCrossBackendTest, ParameterServerReduceScatter) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kReduceScatter);
+  run_matrix(MarParadigm::kParameterServer, SyncMode::kReduceScatter,
+             {0x73603c29f0b8f7a5ull, 0xa4173b21e43dd375ull});
 }
 
 TEST(DistCrossBackendTest, TreeLegacyAllGather) {
-  run_matrix(MarParadigm::kTree, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kTree, SyncMode::kLegacyAllGather,
+             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
 }
 
 TEST(DistCrossBackendTest, TreeReduceScatter) {
-  run_matrix(MarParadigm::kTree, SyncMode::kReduceScatter);
+  run_matrix(MarParadigm::kTree, SyncMode::kReduceScatter,
+             {0xaa1f16253d1d9a25ull, 0x8e9bc4836cbca255ull});
 }
 
 }  // namespace
