@@ -46,6 +46,15 @@ void one_bit_combine_words(std::span<std::uint64_t> a, std::size_t weight_a,
                            std::span<const std::uint64_t> b,
                            std::size_t weight_b, Rng& rng);
 
+/// Out-of-place word-span ⊙: out = a ⊙ b, with a's draw probability
+/// weight_a / (weight_a + weight_b) exactly as above.  `out` may alias `a`
+/// or `b`, so a fold can land in either operand's buffer bit-identically.
+void one_bit_combine_words(std::span<const std::uint64_t> a,
+                           std::size_t weight_a,
+                           std::span<const std::uint64_t> b,
+                           std::size_t weight_b, std::span<std::uint64_t> out,
+                           Rng& rng);
+
 /// In-place ⊙ on whole BitVectors: a becomes the combined aggregate (weight
 /// weight_a + weight_b).  Extents must match; weights must be positive.
 void one_bit_combine_into(BitVector& a, std::size_t weight_a,

@@ -6,7 +6,6 @@
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
 #include "core/one_bit.hpp"
-#include "core/segmented_fold.hpp"
 #include "net/crc32.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -298,24 +297,19 @@ CollectiveTiming SyncStrategy::base_collective_timing(std::size_t d,
   switch (config_.paradigm) {
     case MarParadigm::kRing:
       return ring_allreduce_timing(m, d, wire, net, start_time);
-    case MarParadigm::kTorus2d:
-      // A degraded torus re-forms as a smaller torus while the survivors
-      // still fill whole rows, else the round runs as a ring of survivors.
-      if (m == config_.num_workers) {
-        MARSIT_VALIDATE_CALL(validate::torus_shape(config_.torus_rows,
-                                                   config_.torus_cols, m));
-        return torus_allreduce_timing(config_.torus_rows, config_.torus_cols,
-                                      d, wire, net, start_time);
+    case MarParadigm::kTorus2d: {
+      // A degraded torus re-forms by the rule the reduce-scatter schedule
+      // folds with: a smaller torus while the survivors fill whole rows,
+      // else a ring of survivors.
+      const std::size_t rows = reformed_torus_rows(m, config_.torus_cols);
+      if (rows == 0) {
+        return ring_allreduce_timing(m, d, wire, net, start_time);
       }
-      if (m % config_.torus_cols == 0 && m / config_.torus_cols >= 2) {
-        MARSIT_VALIDATE_CALL(
-            validate::torus_shape(m / config_.torus_cols, config_.torus_cols,
-                                  m));
-        return torus_allreduce_timing(m / config_.torus_cols,
-                                      config_.torus_cols, d, wire, net,
-                                      start_time);
-      }
-      return ring_allreduce_timing(m, d, wire, net, start_time);
+      MARSIT_VALIDATE_CALL(
+          validate::torus_shape(rows, config_.torus_cols, m));
+      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net,
+                                    start_time);
+    }
     case MarParadigm::kParameterServer:
       return ps_allreduce_timing(m, d, wire, net, start_time);
     case MarParadigm::kTree:
@@ -1077,9 +1071,12 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     // between — the segment-seeded chains partition the words by fabric
     // segment (the reduce-scatter ownership grid), not by shard chunk.
     run_chunk_pass(pool, plan.num_chunks(), pack_chunk);
-    marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
-                                config_.torus_cols, signs_, s,
-                                signs_.front().words().size(), round_seed);
+    const std::size_t num_words = signs_.front().words().size();
+    if (rs_schedule_.members != s || rs_schedule_.units != num_words) {
+      rs_schedule_ = reduce_scatter_schedule(config_.paradigm, s,
+                                             config_.torus_cols, num_words);
+    }
+    fold_schedule(rs_schedule_, signs_, round_seed);
     run_chunk_pass(pool, plan.num_chunks(), unpack_chunk);
   } else {
     // Legacy mode folds per chunk with the chunk's own rng stream, so the

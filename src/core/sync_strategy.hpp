@@ -24,6 +24,7 @@
 #include "ckpt/snapshot.hpp"
 #include "collectives/aggregators.hpp"
 #include "collectives/timing.hpp"
+#include "core/schedule.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_plan.hpp"
 #include "net/network_sim.hpp"
@@ -49,7 +50,7 @@ const char* mar_paradigm_name(MarParadigm paradigm);
 ///                     This is the historical mode and reproduces the
 ///                     committed goldens byte-for-byte.
 ///   kReduceScatter    the paper's schedule: per-segment independently
-///                     seeded fold chains (core/segmented_fold.hpp) let each
+///                     seeded fold chains (core/schedule.hpp) let each
 ///                     rank fold only the segments it owns, so the wire
 ///                     carries 2(M−1)·D bits.  Digests differ from legacy
 ///                     mode (different rng discipline) but are identical
@@ -435,6 +436,8 @@ class MarsitSync final : public SyncStrategy {
   MarsitOptions options_;
   std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
+  /// Reduce-scatter steps for the last (survivor count, sign words) seen.
+  Schedule rs_schedule_;
 };
 
 // --- factory ------------------------------------------------------------------

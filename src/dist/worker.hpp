@@ -2,40 +2,34 @@
 // multi-thread) training run over a Transport (DESIGN.md §14).
 //
 // Each rank owns a full model replica and runs the exact per-round math of
-// DistributedTrainer + MarsitSync: same sampler streams (sim/trainer.hpp's
-// public seed salts), same local-optimizer transform, same ⊙ reduction.  A
-// run over SimTransport or SocketTransport therefore finishes with
-// parameters bit-identical to the simulator's — the cross-backend
-// determinism contract tests/dist_cross_backend_test pins via FNV-1a param
-// digests.
+// DistributedTrainer + MarsitSync: the same local_step (sim/trainer.hpp),
+// sampler streams and ⊙ reduction.  A run over SimTransport or
+// SocketTransport therefore finishes with parameters bit-identical to the
+// simulator's — the cross-backend determinism contract
+// tests/dist_cross_backend_test pins via FNV-1a param digests.
 //
-// Two data planes carry one-bit rounds (WorkerConfig::sync_mode):
+// Every round replays one of three schedules from core/schedule.hpp, built
+// once per run, through two interpreters private to this file:
 //
-//   SyncMode::kLegacyAllGather  all ranks gather every sign vector along the
-//     topology and run the identical sequential-stream fold locally
-//     (marsit_fold_signs_words with marsit_chunk_rng) — M(M−1)·D sign bits
-//     on the wire.  Kept for golden compatibility.
+//   execute   this rank's sends and receives over the Transport, hop by hop;
+//   predict   the same hops on a fresh NetworkSim — the round's α–β
+//             prediction, whose byte total is by construction the sum of
+//             every rank's payload bytes (RoundReport::total_wire_bits, the
+//             invariant tests/dist_wire_volume_test pins).
 //
-//   SyncMode::kReduceScatter  the paper's schedule at the paper's wire
-//     volume: per-segment independently seeded fold chains
-//     (core/segmented_fold.hpp) let each rank fold only the segments it
-//     owns, so a ring round moves exactly 2(M−1)·D sign bits — reduce-
-//     scatter then all-gather.  The torus runs the same two phases per
-//     dimension (row RS, column RS, column AG, row AG); the parameter
-//     server folds at a colocated rank-0 server and broadcasts; the
-//     binomial tree reduces up and broadcasts down.  All four total
-//     2(M−1)·D payload bits per one-bit round.
+// The schedules:
 //
-// Full-precision flush rounds use the all-gather plane in both modes (float
-// summation is order-sensitive, so the flush keeps the single local-mean
-// ordering everywhere); for the PS and tree paradigms the all-gather plane
-// routes over the ring — the fold structure, not the gather route, is what
-// distinguishes those paradigms' aggregates.
-//
-// The α–β prediction reported per round replays the exact hop schedule this
-// backend ran on a fresh NetworkSim, so RoundReport::total_wire_bits equals
-// the sum of every rank's measured payload bits bit-for-bit — the invariant
-// tests/dist_wire_volume_test pins.
+//   reduce-scatter plane   SyncMode::kReduceScatter one-bit rounds: each
+//     rank folds only the segments it owns, then gathers the rest — exactly
+//     2(M−1)·D sign bits per round on every paradigm.  The aggregate equals
+//     MarsitSync's fold_schedule of the same schedule bit for bit.
+//   all-gather plane of sign words   SyncMode::kLegacyAllGather one-bit
+//     rounds: every rank gathers all M sign vectors and runs the legacy
+//     sequential-stream fold (marsit_fold_signs_words with marsit_chunk_rng)
+//     locally — M(M−1)·D bits.  Kept for golden compatibility.
+//   all-gather plane of floats   full-precision flush rounds in both modes
+//     (float summation is order-sensitive, so every rank takes the mean in
+//     one fixed order).
 #pragma once
 
 #include <cstddef>

@@ -50,10 +50,8 @@ DistributedTrainer::DistributedTrainer(
     optimizers_.push_back(make_optimizer(config_.optimizer));
   }
   updates_.assign(m, Tensor(param_count_));
-  grad_scratch_.assign(m, Tensor(param_count_));
-  dlogits_.resize(m);
+  scratch_.resize(m);
   snapshots_.resize(m);
-  batches_.resize(m);
   global_update_ = Tensor(param_count_);
 }
 
@@ -65,10 +63,42 @@ double DistributedTrainer::compute_seconds_per_round() const {
   return strategy_.config().cost_model.compute_seconds(flops);
 }
 
+void local_step(Sequential& model, LocalOptimizer& optimizer,
+                const ShardedSampler& sampler, std::size_t num_classes,
+                std::size_t worker, std::size_t step, float eta_l,
+                float clip_grad_norm, LocalStepScratch& scratch,
+                std::span<float> update) {
+  Batch& batch = scratch.batch;
+  sampler.worker_batch(worker, step, batch);
+  model.zero_grads();
+  const auto logits = model.forward(batch.inputs.span(), batch.size());
+  // Sized once; reused every step.
+  if (scratch.dlogits.size() != logits.size()) {
+    scratch.dlogits = Tensor(logits.size());
+  }
+  if (scratch.grad.size() != update.size()) {
+    scratch.grad = Tensor(update.size());
+  }
+  softmax_cross_entropy(logits, {batch.labels.data(), batch.labels.size()},
+                        num_classes, scratch.dlogits.span());
+  model.backward(scratch.dlogits.span(), batch.size());
+
+  const std::span<float> grad = scratch.grad.span();
+  model.copy_grads_into(grad);
+  if (clip_grad_norm > 0.0f) {
+    const float norm = l2_norm(grad);
+    if (norm > clip_grad_norm) {
+      scale(grad, clip_grad_norm / norm);
+    }
+  }
+  optimizer.transform(grad, update);
+  scale(update, eta_l);
+}
+
 void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
                                       float eta_l) {
   Sequential& model = replicas_[worker];
-  Batch& batch = batches_[worker];
+  const std::span<float> update = updates_[worker].span();
   const std::size_t local_steps = std::max<std::size_t>(1, config_.local_steps);
 
   if (local_steps > 1 && snapshots_[worker].size() != param_count_) {
@@ -79,32 +109,13 @@ void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
   }
 
   for (std::size_t h = 0; h < local_steps; ++h) {
-    sampler_.worker_batch(worker, round * local_steps + h, batch);
-
-    model.zero_grads();
-    const auto logits = model.forward(batch.inputs.span(), batch.size());
-    Tensor& dlogits = dlogits_[worker];
-    if (dlogits.size() != logits.size()) {
-      dlogits = Tensor(logits.size());  // sized once; reused every step
-    }
-    softmax_cross_entropy(logits, {batch.labels.data(), batch.labels.size()},
-                          dataset_.num_classes(), dlogits.span());
-    model.backward(dlogits.span(), batch.size());
-
-    model.copy_grads_into(grad_scratch_[worker].span());
-    if (config_.clip_grad_norm > 0.0f) {
-      const float norm = l2_norm(grad_scratch_[worker].span());
-      if (norm > config_.clip_grad_norm) {
-        scale(grad_scratch_[worker].span(), config_.clip_grad_norm / norm);
-      }
-    }
-    optimizers_[worker]->transform(grad_scratch_[worker].span(),
-                                   updates_[worker].span());
-    scale(updates_[worker].span(), eta_l);
+    local_step(model, *optimizers_[worker], sampler_, dataset_.num_classes(),
+               worker, round * local_steps + h, eta_l,
+               config_.clip_grad_norm, scratch_[worker], update);
     if (local_steps > 1) {
       // Walk the replica locally; the synchronized vector is the total
       // movement, computed below.
-      model.apply_update(updates_[worker].span());
+      model.apply_update(update);
     }
   }
 
@@ -112,9 +123,9 @@ void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
     // u_m = x_before − x_after (so x ← x − u replays the local walk), then
     // rewind: the *global* update must be the only state change so replicas
     // stay consistent.
-    model.copy_params_into(grad_scratch_[worker].span());
-    sub(snapshots_[worker].span(), grad_scratch_[worker].span(),
-        updates_[worker].span());
+    const std::span<float> params = scratch_[worker].grad.span();
+    model.copy_params_into(params);
+    sub(snapshots_[worker].span(), params, update);
     model.load_params(snapshots_[worker].span());
   }
 }

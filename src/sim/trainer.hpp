@@ -46,6 +46,24 @@ inline constexpr std::uint64_t kTestSampleRange = 1u << 16;
 inline constexpr std::uint64_t kSamplerSeedSalt = 0xda7a;
 inline constexpr std::uint64_t kModelInitSeedSalt = 0x1417;
 
+/// Per-worker buffers of local_step, sized on first use and reused.
+struct LocalStepScratch {
+  Batch batch;
+  Tensor dlogits;  // ∂L/∂logits
+  Tensor grad;
+};
+
+/// One local optimizer step of `worker`: draws its minibatch number `step`,
+/// runs forward and backward, clips the raw gradient to `clip_grad_norm`
+/// (0 disables), transforms it with the local optimizer and writes
+/// η_l · direction into `update`.  DistributedTrainer and the distributed
+/// worker (src/dist) both run it, so their updates are bit-identical.
+void local_step(Sequential& model, LocalOptimizer& optimizer,
+                const ShardedSampler& sampler, std::size_t num_classes,
+                std::size_t worker, std::size_t step, float eta_l,
+                float clip_grad_norm, LocalStepScratch& scratch,
+                std::span<float> update);
+
 struct TrainerConfig {
   std::size_t batch_size_per_worker = 32;
   OptimizerKind optimizer = OptimizerKind::kSgd;
@@ -201,9 +219,7 @@ class DistributedTrainer {
   std::vector<Sequential> replicas_;
   std::vector<std::unique_ptr<LocalOptimizer>> optimizers_;
   std::vector<Tensor> updates_;     // per-worker u_m = η_l · direction
-  std::vector<Batch> batches_;      // per-worker scratch
-  std::vector<Tensor> grad_scratch_;
-  std::vector<Tensor> dlogits_;     // per-worker ∂L/∂logits scratch
+  std::vector<LocalStepScratch> scratch_;
   std::vector<Tensor> snapshots_;   // pre-round params (local_steps > 1)
   Tensor global_update_;
   std::size_t param_count_ = 0;

@@ -134,6 +134,16 @@ TEST(FaultInjectionTest, DegradedTorusMatchesNativeSmallerTorus) {
   const RunTrace actual = run_rounds(SyncMethod::kMarsit, degraded);
   expect_bit_identical(actual.outputs, expect.outputs, "Marsit-TAR");
   EXPECT_EQ(actual.completion, expect.completion);
+
+  // The reduce-scatter fold re-forms by the same rule the timing prices, so
+  // the degraded round folds as the native 2×2 torus too.
+  degraded.sync_mode = SyncMode::kReduceScatter;
+  native.sync_mode = SyncMode::kReduceScatter;
+  const RunTrace expect_rs = run_rounds(SyncMethod::kMarsit, native);
+  const RunTrace actual_rs = run_rounds(SyncMethod::kMarsit, degraded);
+  expect_bit_identical(actual_rs.outputs, expect_rs.outputs,
+                       "Marsit-TAR reduce-scatter");
+  EXPECT_EQ(actual_rs.completion, expect_rs.completion);
 }
 
 TEST(FaultInjectionTest, MajorityVoteRunsOverSurvivorsOnly) {

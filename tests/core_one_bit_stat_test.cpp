@@ -13,7 +13,8 @@
 //   * the same two families with the fold split across independently
 //     seeded segments (core/one_bit.hpp's segment_fold_seed /
 //     segment_op_rng — the reduce-scatter rng discipline), at segment
-//     counts {1, 2, 7, 64}, including the production segmented_ring_fold.
+//     counts {1, 2, 7, 64}, including the production ring and torus
+//     reduce-scatter schedules run through fold_schedule.
 //
 // Every check is seeded and thresholded so loosely (|z| < 5.5, p > 1e−7)
 // that a correct implementation fails with probability < 1e−6 per run —
@@ -28,7 +29,8 @@
 #include <functional>
 #include <vector>
 
-#include "core/segmented_fold.hpp"
+#include "core/schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -123,7 +125,7 @@ std::size_t segmented_disagreement_ones(bool a_value, std::size_t weight_a,
         derive_seed(round_seed, static_cast<std::uint64_t>(t));
     BitVector acc = a;
     for (std::size_t s = 0; s < segments; ++s) {
-      const WordSegment seg = word_segment(num_words, segments, s);
+      const Segment seg = segment_of(num_words, segments, s);
       if (seg.count == 0) {
         continue;
       }
@@ -328,7 +330,7 @@ BitVector segmented_chain_fold_trial(const std::vector<BitVector>& signs,
   std::vector<BitVector> work = signs;  // fold mutates in place
   const std::size_t num_words = work[0].words().size();
   for (std::size_t s = 0; s < segments; ++s) {
-    const WordSegment seg = word_segment(num_words, segments, s);
+    const Segment seg = segment_of(num_words, segments, s);
     if (seg.count == 0) {
       continue;
     }
@@ -365,7 +367,7 @@ TEST(OneBitStatTest, SegmentSeededChainFoldIsUnbiasedForMeanSign) {
 
 TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
   // The exact production path reduce-scatter rounds run in the simulator
-  // (core/segmented_fold.hpp): m rank-owned segments, each chain starting
+  // (core/schedule.hpp): m rank-owned segments, each chain starting
   // at its owner rank, result gathered into signs[0].
   const std::size_t m = 8;
   const std::size_t reps = 512;
@@ -375,8 +377,10 @@ TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
       m, reps, /*trials=*/64,
       [&signs, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
-        segmented_ring_fold(work, work.size(), work[0].words().size(),
-                            derive_seed(base, trial));
+        fold_schedule(reduce_scatter_schedule(MarParadigm::kRing,
+                                              work.size(), 0,
+                                              work[0].words().size()),
+                      work, derive_seed(base, trial));
         return work[0];
       },
       "production segmented ring fold");
@@ -393,10 +397,12 @@ TEST(OneBitStatTest, ProductionSegmentedTorusFoldIsUnbiasedForMeanSign) {
   const std::uint64_t base = derive_seed(stat_seed(), 0xb202);
   check_fold_unbiased_by_trial(
       m, reps, /*trials=*/64,
-      [&signs, rows, cols, base](std::size_t trial) {
+      [&signs, cols, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
-        segmented_torus_fold(work, work.size(), rows, cols,
-                             work[0].words().size(), derive_seed(base, trial));
+        fold_schedule(reduce_scatter_schedule(MarParadigm::kTorus2d,
+                                              work.size(), cols,
+                                              work[0].words().size()),
+                      work, derive_seed(base, trial));
         return work[0];
       },
       "production segmented torus fold");

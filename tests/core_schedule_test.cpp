@@ -15,7 +15,8 @@
 
 #include "ckpt/snapshot.hpp"
 #include "compress/bit_vector.hpp"
-#include "core/segmented_fold.hpp"
+#include "core/schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "util/rng.hpp"
 
 namespace marsit {
@@ -47,9 +48,9 @@ std::uint64_t fold_digest(const PinnedShape& shape, std::size_t num_words) {
     }
     signs.push_back(std::move(v));
   }
-  marsit_fold_signs_segmented(shape.paradigm, shape.rows, shape.cols, signs,
-                              shape.count, num_words,
-                              derive_seed(case_seed, 0xf01d));
+  fold_schedule(reduce_scatter_schedule(shape.paradigm, shape.count,
+                                        shape.cols, num_words),
+                signs, derive_seed(case_seed, 0xf01d));
   const auto words = signs.front().words();
   return ckpt::fnv1a(words.data(), words.size() * sizeof(std::uint64_t));
 }

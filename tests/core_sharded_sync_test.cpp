@@ -16,7 +16,7 @@
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
 #include "core/one_bit.hpp"
-#include "core/segmented_fold.hpp"
+#include "core/schedule.hpp"
 #include "core/sync_strategy.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -309,7 +309,7 @@ TEST(ShardedSyncTest, MarsitTreeReduceScatterPoolInvariant) {
 
 TEST(ShardedSyncTest, MarsitReduceScatterMatchesStoredSumReference) {
   // Serial reference with the u + c sum stored per worker (the layout the
-  // fused passes replaced): adjusted = u + c; pack; segmented fold; unpack;
+  // fused passes replaced): adjusted = u + c; pack; schedule fold; unpack;
   // c = adjusted − g.  No flush, so the compensation carries across rounds.
   ThreadPool pool(4);
   SyncConfig config = base_config(MarParadigm::kTorus2d, &pool);
@@ -336,10 +336,10 @@ TEST(ShardedSyncTest, MarsitReduceScatterMatchesStoredSumReference) {
           {sums[w].data(), kDim});
       signs.push_back(pack_signs({sums[w].data(), kDim}));
     }
-    marsit_fold_signs_segmented(config.paradigm, config.torus_rows,
-                                config.torus_cols, signs, kWorkers,
-                                signs.front().num_words(),
-                                derive_seed(config.seed, t));
+    fold_schedule(reduce_scatter_schedule(config.paradigm, kWorkers,
+                                          config.torus_cols,
+                                          signs.front().num_words()),
+                  signs, derive_seed(config.seed, t));
     unpack_signs(signs.front(), eta_s, {expected.data(), kDim});
     for (std::size_t w = 0; w < kWorkers; ++w) {
       sub({sums[w].data(), kDim}, {expected.data(), kDim},
