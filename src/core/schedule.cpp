@@ -31,10 +31,10 @@ class ScheduleBuilder {
   void end_hop() { ++hop_; }
 
   /// One ring pass over `ring` (members in ring order) covering `whole`,
-  /// split into ring.size() parts: at hop t position i sends part
+  /// split into L = ring.size() parts: at hop t position i sends part
   /// (i + offset − t) mod L to position i+1.  With `chain` set the receiver
-  /// folds part p as op t of chain chain->seed_id + p, the weights scaled
-  /// by the chain's (arriving weight t+1, local weight 1) units, and
+  /// folds part p as op t of chain chain->seed_id + p, at arriving weight
+  /// (t+1)·chain->partial_weight and local weight chain->local_weight, and
   /// position i ends up owning part (i+1) mod L; without it the receiver
   /// copies.
   void ring_pass(const std::vector<std::size_t>& ring, Segment whole,
