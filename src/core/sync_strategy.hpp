@@ -72,7 +72,7 @@ struct SyncConfig {
   /// One-bit round data plane + rng discipline (see SyncMode).  Part of the
   /// deterministic geometry: changing it changes the fold's rng streams, so
   /// digests are only comparable between runs with equal modes.
-  SyncMode sync_mode = SyncMode::kLegacyAllGather;
+  SyncMode sync_mode = SyncMode::kReduceScatter;
   CostModel cost_model;
   std::uint64_t seed = 1;
   /// Sign-sum baselines: Elias-γ recode the growing messages (the paper

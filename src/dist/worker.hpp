@@ -65,7 +65,7 @@ struct WorkerConfig {
   /// One-bit data plane + rng discipline; must match the simulator run being
   /// compared against (SyncConfig::sync_mode — the fold's rng streams differ
   /// between modes).
-  SyncMode sync_mode = SyncMode::kLegacyAllGather;
+  SyncMode sync_mode = SyncMode::kReduceScatter;
   MarsitOptions options;
   /// SyncConfig::shard_chunk_elements — the legacy fold's chunk grid.  Must
   /// match the simulator run being compared against (the per-chunk rng

@@ -15,7 +15,6 @@
 #include "ckpt/snapshot.hpp"
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
-#include "core/one_bit.hpp"
 #include "core/schedule.hpp"
 #include "core/sync_strategy.hpp"
 #include "parallel/thread_pool.hpp"
@@ -163,13 +162,14 @@ TEST(ShardedSyncTest, SignSgdMatchesScalarReference) {
 
 TEST(ShardedSyncTest, SingleChunkMatchesSerialRoundStream) {
   // Chunk 0 continues the round stream, so a payload that fits in one chunk
-  // reproduces the original serial implementation's rng consumption —
-  // checked here by comparing a huge-chunk run against a Marsit fold done
-  // by hand with Rng(derive_seed(seed, round)).
+  // reproduces the serial implementation's rng consumption — checked here by
+  // comparing a huge-chunk SSDM-MAR run against stochastic packing done by
+  // hand over the whole vector with Rng(derive_seed(seed, round)), then
+  // majority and unpack.
   ThreadPool pool(2);
   SyncConfig config = base_config(MarParadigm::kRing, &pool);
   config.shard_chunk_elements = 1 << 20;  // whole payload in chunk 0
-  auto strategy = make_sync_strategy(SyncMethod::kMarsit, config);
+  auto strategy = make_sync_strategy(SyncMethod::kSsdm, config);
 
   const auto inputs = make_inputs(0);
   WorkerSpans spans;
@@ -179,20 +179,22 @@ TEST(ShardedSyncTest, SingleChunkMatchesSerialRoundStream) {
   std::vector<float> out(kDim);
   strategy->synchronize(spans, {out.data(), out.size()});
 
-  // Serial reference: round 0 compensation is zero, so the fold runs on the
-  // raw inputs with the round stream.
-  std::vector<BitVector> signs;
-  for (const auto& in : inputs) {
-    signs.push_back(pack_signs({in.data(), in.size()}));
-  }
+  // Serial reference: every worker packs from the one round stream in
+  // worker order, with the strategy's 64-element norm blocks.
+  constexpr std::size_t kSsdmBlock = 64;
   Rng rng(derive_seed(config.seed, 0));
-  BitVector folded = one_bit_fold(signs, rng);
+  SignSum sum(kDim);
+  for (const auto& in : inputs) {
+    BitVector bits(kDim);
+    ssdm_pack_words({in.data(), in.size()}, rng, kSsdmBlock, bits.words());
+    sum.accumulate(bits);
+  }
   std::vector<float> expected(kDim);
-  unpack_signs(folded, MarsitOptions{}.eta_s,
+  unpack_signs(sum.majority(), MethodOptions{}.eta_s,
                {expected.data(), expected.size()});
   EXPECT_EQ(
       std::memcmp(out.data(), expected.data(), kDim * sizeof(float)), 0)
-      << "single-chunk Marsit diverges from the serial round stream";
+      << "single-chunk SSDM-MAR diverges from the serial round stream";
 }
 
 // --- reduce-scatter mode ---------------------------------------------------
