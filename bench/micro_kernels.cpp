@@ -468,7 +468,6 @@ double time_marsit_round(std::size_t reps, ThreadPool& pool,
   config.paradigm = MarParadigm::kTorus2d;
   config.torus_rows = 2;
   config.torus_cols = 2;
-  config.sync_mode = SyncMode::kReduceScatter;
   config.pool = &pool;
   MarsitOptions options;
   options.full_precision_period = flush ? 1 : 0;

@@ -23,11 +23,11 @@
 // one-bit estimate of the mean sign — with zero bit-width growth.
 //
 // The `*_words` / `*_into` variants combine **in place** (a ⊙= b): the
-// RAR/TAR/tree reduction chains in core/sync_strategy.cpp fold M workers
-// without allocating a fresh BitVector per hop, and the word-span form lets
-// the sharded pipeline fold one word-aligned chunk at a time.  All variants
-// consume rng identically (one exact Bernoulli word per 64 elements), so
-// in-place and allocating folds are bit-identical at equal seeds.
+// reduce-scatter fold interpreter (fold_schedule in core/schedule.hpp)
+// folds each fabric segment's chain over word spans without allocating a
+// fresh BitVector per hop.  All variants consume rng identically (one exact
+// Bernoulli word per 64 elements), so in-place and allocating combines are
+// bit-identical at equal seeds.
 #pragma once
 
 #include <cstddef>
@@ -70,11 +70,6 @@ BitVector one_bit_combine(const BitVector& a, std::size_t weight_a,
 /// returns the final one-bit aggregate.  Equivalent to repeated
 /// one_bit_combine with weight_b = 1.
 BitVector one_bit_fold(const std::vector<BitVector>& signs, Rng& rng);
-
-/// In-place fold: accumulates signs[1..] into signs.front() in chain order
-/// with zero per-hop allocations; the result lives in signs.front().
-/// Bit-identical to one_bit_fold at equal seeds.
-void one_bit_fold_into(std::vector<BitVector>& signs, Rng& rng);
 
 // --- Segment seeding ---------------------------------------------------
 //

@@ -26,8 +26,8 @@
 //             one whole-payload chain, then broadcasts; server links.
 //     tree    binomial merges by stride doubling, then a broadcast down the
 //             mirrored tree.
-//   all-gather      M contiguous blob slots, member g's blob at slot g (flush
-//                   floats and legacy one-bit words).  A ring rotates slots
+//   all-gather      M contiguous blob slots, member g's blob at slot g (the
+//                   flush round's floats).  A ring rotates slots
 //                   rightward; a torus gathers its row, then moves whole-row
 //                   slot ranges along the column.  PS and tree route over the
 //                   ring: their fold structure, not the gather route, is what

@@ -5,7 +5,6 @@
 
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
-#include "core/one_bit.hpp"
 #include "net/crc32.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,16 +27,6 @@ const char* mar_paradigm_name(MarParadigm paradigm) {
       return "PS";
     case MarParadigm::kTree:
       return "TREE";
-  }
-  return "?";
-}
-
-const char* sync_mode_name(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kLegacyAllGather:
-      return "all-gather";
-    case SyncMode::kReduceScatter:
-      return "reduce-scatter";
   }
   return "?";
 }
@@ -903,66 +892,6 @@ void MarsitSync::mean_compensation_into(std::span<float> out) const {
   scale(out, 1.0f / static_cast<float>(compensation_.size()));
 }
 
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng) {
-  const auto words_of = [&](std::size_t i) {
-    return signs[i].words().subspan(word_begin, num_words);
-  };
-  if (paradigm == MarParadigm::kTree) {
-    // Binomial-tree reduction: level-l merges combine aggregates of equal
-    // weight 2^l (plus a possibly lighter tail aggregate).  The structure
-    // is defined for any count, so a degraded tree just shrinks.
-    std::vector<std::size_t> weights(count, 1);
-    for (std::size_t stride = 1; stride < count; stride *= 2) {
-      for (std::size_t i = 0; i + stride < count; i += 2 * stride) {
-        one_bit_combine_words(words_of(i), weights[i], words_of(i + stride),
-                              weights[i + stride], rng);
-        weights[i] += weights[i + stride];
-      }
-    }
-    return;
-  }
-  if (paradigm == MarParadigm::kTorus2d) {
-    // Row folds (weights 1..len within each row), then weighted column
-    // merges of whole-row aggregates — the torus reduction structure.  The
-    // row aggregate accumulates in the row's first vector; rows merge into
-    // signs[0] carrying their true accumulated weights, so a degraded round
-    // (count < rows·cols) re-forms as ragged rows of torus_cols survivors
-    // with the last row possibly short — the weighted ⊙ stays unbiased for
-    // any merge shape.  With full membership this is exactly the original
-    // rows×cols schedule.
-    const std::size_t cols = torus_cols;
-    std::size_t merged_weight = 0;
-    for (std::size_t base = 0; base < count; base += cols) {
-      const std::size_t len = std::min(cols, count - base);
-      for (std::size_t c = 1; c < len; ++c) {
-        one_bit_combine_words(words_of(base), c, words_of(base + c), 1, rng);
-      }
-      if (base == 0) {
-        merged_weight = len;
-      } else {
-        one_bit_combine_words(words_of(0), merged_weight, words_of(base), len,
-                              rng);
-        merged_weight += len;
-      }
-    }
-    return;
-  }
-  // Ring: sequential chain fold into signs[0].
-  for (std::size_t m = 1; m < count; ++m) {
-    one_bit_combine_words(words_of(0), m, words_of(m), 1, rng);
-  }
-}
-
-void MarsitSync::fold_signs_words(std::vector<BitVector>& signs,
-                                  std::size_t count, std::size_t word_begin,
-                                  std::size_t num_words, Rng& rng) const {
-  marsit_fold_signs_words(config_.paradigm, config_.torus_cols, signs, count,
-                          word_begin, num_words, rng);
-}
-
 SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
                                           std::span<float> out) {
   const std::size_t d = out.size();
@@ -1020,14 +949,11 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     return result;
   }
 
-  // One-bit round, sharded over word-aligned chunks: each chunk runs the
-  // whole of Algorithm 1's lines 1 and 4–10 — compensation fold-in, sign
-  // packing, the ⊙ reduction, unpacking, and the compensation update —
-  // chunk-locally, with an rng stream derived from (seed, round, chunk) so
-  // the result is bit-identical for any pool size.  Survivors pack into
-  // signs_[0..s): the fold re-forms over them with the same rng stream a
-  // native s-worker run would consume, so a degraded M-worker ring matches
-  // an s-worker ring bit-for-bit.
+  // One-bit round: Algorithm 1's lines 1 and 4–10 — compensation fold-in
+  // and sign packing, the ⊙ reduction, unpacking and the compensation
+  // update.  Survivors pack into signs_[0..s): the schedule re-forms over
+  // them, so a degraded M-worker round folds exactly like a native
+  // s-worker one.
   if (signs_.empty() || signs_.front().size() != d) {
     signs_.assign(m, BitVector(d));
   }
@@ -1065,36 +991,18 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       }
     }
   };
-  if (config_.sync_mode == SyncMode::kReduceScatter) {
-    // Pack and unpack consume no rng and own disjoint chunks, so each is
-    // one flat chunk pass; the fold runs once over the full word range in
-    // between — the segment-seeded chains partition the words by fabric
-    // segment (the reduce-scatter ownership grid), not by shard chunk.
-    run_chunk_pass(pool, plan.num_chunks(), pack_chunk);
-    const std::size_t num_words = signs_.front().words().size();
-    if (rs_schedule_.members != s || rs_schedule_.units != num_words) {
-      rs_schedule_ = reduce_scatter_schedule(config_.paradigm, s,
-                                             config_.torus_cols, num_words);
-    }
-    fold_schedule(rs_schedule_, signs_, round_seed);
-    run_chunk_pass(pool, plan.num_chunks(), unpack_chunk);
-  } else {
-    // Legacy mode folds per chunk with the chunk's own rng stream, so the
-    // three lanes pipeline: chunk c+1 packs while chunk c runs its ⊙
-    // reduction and chunk c−1 unpacks.  Sign packing consumes no rng, so
-    // creating the chunk's stream at the head of the fold stage draws
-    // exactly the values a single-loop body would.
-    const PipelineStage stages[] = {
-        {pack_chunk},
-        {[&](std::size_t c, ScratchArena& /*arena*/) {
-          const Shard shard = plan.chunk(c);
-          Rng rng = marsit_chunk_rng(round_seed, c);
-          fold_signs_words(signs_, s, shard.word_begin(), shard.num_words(),
-                           rng);
-        }},
-        {unpack_chunk}};
-    run_chunk_pipeline(pool, plan.num_chunks(), stages);
+  // Pack and unpack consume no rng and own disjoint chunks, so each is one
+  // flat chunk pass; the fold runs once over the full word range in
+  // between — the segment-seeded chains partition the words by fabric
+  // segment (the reduce-scatter ownership grid), not by shard chunk.
+  run_chunk_pass(pool, plan.num_chunks(), pack_chunk);
+  const std::size_t num_words = signs_.front().words().size();
+  if (rs_schedule_.members != s || rs_schedule_.units != num_words) {
+    rs_schedule_ = reduce_scatter_schedule(config_.paradigm, s,
+                                           config_.torus_cols, num_words);
   }
+  fold_schedule(rs_schedule_, signs_, round_seed);
+  run_chunk_pass(pool, plan.num_chunks(), unpack_chunk);
 
   result.timing = mar_timing(d, marsit_wire(config_.cost_model),
                              &result.chunk_stages);

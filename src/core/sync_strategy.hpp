@@ -42,26 +42,20 @@ enum class MarParadigm { kRing, kTorus2d, kParameterServer, kTree };
 
 const char* mar_paradigm_name(MarParadigm paradigm);
 
-/// How a one-bit Marsit round traverses the fabric.
+/// How a one-bit Marsit round traverses the fabric.  There is one way: the
+/// paper's reduce-scatter schedule (core/schedule.hpp), whose per-segment
+/// independently seeded fold chains let each rank fold only the segments it
+/// owns, so the wire carries 2(M−1)·D sign bits per round and the digests
+/// are identical across trainer / simulator / socket backends.
+/// Full-precision flush rounds use the all-gather data plane: float
+/// summation is order-sensitive, so the flush keeps the single local-mean
+/// ordering everywhere.
 ///
-///   kLegacyAllGather  every rank gathers all M sign vectors and folds
-///                     locally along ONE sequential rng stream
-///                     (marsit_chunk_rng) — M(M−1)·D bits on a real wire.
-///                     This is the historical mode and reproduces the
-///                     committed goldens byte-for-byte.
-///   kReduceScatter    the paper's schedule: per-segment independently
-///                     seeded fold chains (core/schedule.hpp) let each
-///                     rank fold only the segments it owns, so the wire
-///                     carries 2(M−1)·D bits.  Digests differ from legacy
-///                     mode (different rng discipline) but are identical
-///                     across trainer / simulator / socket backends.
-///
-/// Full-precision flush rounds use the all-gather data plane in BOTH modes:
-/// float summation is order-sensitive, so the flush keeps the single
-/// local-mean ordering everywhere.
-enum class SyncMode { kLegacyAllGather, kReduceScatter };
-
-const char* sync_mode_name(SyncMode mode);
+/// The type has one value and nothing branches on it.  It stays only
+/// because perfbench assigns it (SyncConfig::sync_mode,
+/// dist::WorkerConfig::sync_mode) — remove both with it in the next change
+/// to the benchmark.
+enum class SyncMode { kReduceScatter };
 
 struct SyncConfig {
   std::size_t num_workers = 0;
@@ -69,9 +63,7 @@ struct SyncConfig {
   /// Required when paradigm == kTorus2d; rows*cols must equal num_workers.
   std::size_t torus_rows = 0;
   std::size_t torus_cols = 0;
-  /// One-bit round data plane + rng discipline (see SyncMode).  Part of the
-  /// deterministic geometry: changing it changes the fold's rng streams, so
-  /// digests are only comparable between runs with equal modes.
+  /// Has one value; nothing reads it (see SyncMode).
   SyncMode sync_mode = SyncMode::kReduceScatter;
   CostModel cost_model;
   std::uint64_t seed = 1;
@@ -353,26 +345,12 @@ class CascadingSync final : public SyncStrategy {
                                 std::span<float> out) override;
 };
 
-/// Per-chunk rng stream of a sharded Marsit round.  Chunk 0 continues the
-/// round stream itself — a payload that fits in one chunk therefore consumes
-/// rng exactly like the original serial implementation (bit-identical
-/// outputs) — and later chunks split off independent derived streams.
-/// Shared by MarsitSync and the distributed worker (src/dist), which must
-/// replay the identical stream to stay digest-equal with the simulator.
+/// Per-chunk rng stream of a sharded sign-sum round (signSGD-MV, SSDM-MAR,
+/// SSDM-PS).  Chunk 0 continues the round stream itself — a payload that
+/// fits in one chunk therefore consumes rng exactly like the serial
+/// implementation (bit-identical outputs) — and later chunks split off
+/// independent derived streams.
 Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index);
-
-/// Folds the word range [word_begin, word_begin + num_words) of the first
-/// `count` sign vectors with the weighted ⊙ operator, following `paradigm`'s
-/// reduction structure (sequential chain on the ring; row folds then
-/// weighted column merges on the torus, shaped by `torus_cols`; binomial
-/// level merges on the tree).  Mutates `signs` in place — they are per-round
-/// scratch — and leaves the aggregate in signs.front().  This is the exact
-/// reduction MarsitSync runs; the distributed worker calls it with the same
-/// rng stream so both backends produce bit-identical aggregates.
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng);
 
 /// Marsit (paper Algorithm 1): one-bit ⊙ aggregation with global
 /// compensation, full-precision synchronization every K rounds.
@@ -421,17 +399,6 @@ class MarsitSync final : public SyncStrategy {
   SyncStepResult do_synchronize(const WorkerSpans& inputs,
                                 std::span<float> out) override;
   void on_flush_rejoin(std::size_t worker) override;
-
-  /// Delegates to marsit_fold_signs_words with this strategy's configured
-  /// paradigm and torus shape.  On degraded rounds `count` is the survivor
-  /// count and the fold re-forms over them — the torus becomes ragged rows
-  /// of torus_cols survivors whose row aggregates merge with their true
-  /// accumulated weights, which the weighted ⊙ operator keeps unbiased for
-  /// any shape.  The sharded pipeline calls this once per chunk with that
-  /// chunk's own rng stream.
-  void fold_signs_words(std::vector<BitVector>& signs, std::size_t count,
-                        std::size_t word_begin, std::size_t num_words,
-                        Rng& rng) const;
 
   MarsitOptions options_;
   std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized

@@ -10,7 +10,6 @@
 #include "compress/kernels.hpp"
 #include "core/schedule.hpp"
 #include "net/network_sim.hpp"
-#include "parallel/shard.hpp"
 #include "sim/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -156,27 +155,21 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   Tensor adjusted(d);
   Tensor compensation(d);
   Tensor global(d);
-  const std::size_t num_words = kernels::words_for(d);
   const std::size_t k = config.options.full_precision_period;
-  // Every round replays one of three fixed schedules.
+  // Every round replays one of two fixed, fault-free schedules, so each
+  // plane's α–β prediction is computed once.
   const Schedule flush_plane = all_gather_schedule(
       config.paradigm, m, config.torus_cols, d * sizeof(float));
   const Schedule rs_plane = reduce_scatter_schedule(
-      config.paradigm, m, config.torus_cols, num_words);
-  const Schedule legacy_plane = all_gather_schedule(
-      config.paradigm, m, config.torus_cols,
-      num_words * sizeof(std::uint64_t));
+      config.paradigm, m, config.torus_cols, kernels::words_for(d));
+  const RoundPrediction flush_prediction =
+      predict(flush_plane, config.cost_model);
+  const RoundPrediction rs_prediction = predict(rs_plane, config.cost_model);
   Tensor flush_slots;
   if (k > 0) {
     flush_slots = Tensor(m * d);
   }
   BitVector own(d);
-  std::vector<std::uint64_t> legacy_slots;
-  std::vector<BitVector> signs;
-  if (config.sync_mode == SyncMode::kLegacyAllGather) {
-    legacy_slots.resize(m * num_words);
-    signs.assign(m, BitVector(d));
-  }
 
   WorkerResult result;
   result.rounds.reserve(config.rounds);
@@ -194,7 +187,6 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     double sent_bytes = 0.0;
     const WallClock::time_point comm_start = WallClock::now();
 
-    const Schedule* plane = &flush_plane;
     if (full_precision) {
       // Every rank gathers all M adjusted updates u + c into its slots and
       // takes the exact mean in one fixed order.
@@ -218,45 +210,19 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       compensation.zero();
     } else {
       add(update.span(), compensation.span(), adjusted.span());
-      const std::uint64_t round_seed = derive_seed(config.sync_seed, t);
-      if (config.sync_mode == SyncMode::kReduceScatter) {
-        plane = &rs_plane;
-        kernels::pack_signs_words(adjusted.span(), own.words());
-        execute(rs_plane, transport, tag, bytes_of(own.words()), round_seed,
-                sent_bytes);
-        kernels::unpack_signs_words(own.words(), config.options.eta_s,
-                                    global.span());
-      } else {
-        // Gather every rank's sign words, then run the sequential-stream
-        // fold locally, exactly as MarsitSync's legacy mode does.
-        plane = &legacy_plane;
-        const std::span<std::uint64_t> slots(legacy_slots);
-        kernels::pack_signs_words(adjusted.span(),
-                                  slots.subspan(rank * num_words, num_words));
-        execute(legacy_plane, transport, tag, bytes_of(slots), round_seed,
-                sent_bytes);
-        for (std::size_t g = 0; g < m; ++g) {
-          const auto slot = slots.subspan(g * num_words, num_words);
-          std::copy(slot.begin(), slot.end(), signs[g].words().begin());
-        }
-        const ShardPlan plan(d, config.shard_chunk_elements);
-        for (std::size_t c = 0; c < plan.num_chunks(); ++c) {
-          const Shard shard = plan.chunk(c);
-          Rng rng = marsit_chunk_rng(round_seed, c);
-          marsit_fold_signs_words(config.paradigm, config.torus_cols, signs,
-                                  m, shard.word_begin(), shard.num_words(),
-                                  rng);
-        }
-        kernels::unpack_signs_words(signs.front().words(),
-                                    config.options.eta_s, global.span());
-      }
+      kernels::pack_signs_words(adjusted.span(), own.words());
+      execute(rs_plane, transport, tag, bytes_of(own.words()),
+              derive_seed(config.sync_seed, t), sent_bytes);
+      kernels::unpack_signs_words(own.words(), config.options.eta_s,
+                                  global.span());
       if (config.options.use_compensation) {
         sub(adjusted.span(), global.span(), compensation.span());
       }
     }
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
-    const RoundPrediction prediction = predict(*plane, config.cost_model);
+    const RoundPrediction& prediction =
+        full_precision ? flush_prediction : rs_prediction;
     report.predicted_comm_seconds = prediction.seconds;
     report.total_wire_bits = prediction.total_bits;
 

@@ -8,28 +8,25 @@
 // simulator's — the cross-backend determinism contract
 // tests/dist_cross_backend_test pins via FNV-1a param digests.
 //
-// Every round replays one of three schedules from core/schedule.hpp, built
+// Every round replays one of two schedules from core/schedule.hpp, built
 // once per run, through two interpreters private to this file:
 //
 //   execute   this rank's sends and receives over the Transport, hop by hop;
-//   predict   the same hops on a fresh NetworkSim — the round's α–β
-//             prediction, whose byte total is by construction the sum of
-//             every rank's payload bytes (RoundReport::total_wire_bits, the
-//             invariant tests/dist_wire_volume_test pins).
+//   predict   the same hops on a NetworkSim — the round's α–β prediction,
+//             whose byte total is by construction the sum of every rank's
+//             payload bytes (RoundReport::total_wire_bits, the invariant
+//             tests/dist_wire_volume_test pins).  Both schedules are fixed
+//             and fault-free, so each is predicted once per run.
 //
 // The schedules:
 //
-//   reduce-scatter plane   SyncMode::kReduceScatter one-bit rounds: each
-//     rank folds only the segments it owns, then gathers the rest — exactly
-//     2(M−1)·D sign bits per round on every paradigm.  The aggregate equals
-//     MarsitSync's fold_schedule of the same schedule bit for bit.
-//   all-gather plane of sign words   SyncMode::kLegacyAllGather one-bit
-//     rounds: every rank gathers all M sign vectors and runs the legacy
-//     sequential-stream fold (marsit_fold_signs_words with marsit_chunk_rng)
-//     locally — M(M−1)·D bits.  Kept for golden compatibility.
-//   all-gather plane of floats   full-precision flush rounds in both modes
-//     (float summation is order-sensitive, so every rank takes the mean in
-//     one fixed order).
+//   reduce-scatter plane   one-bit rounds: each rank folds only the
+//     segments it owns, then gathers the rest — exactly 2(M−1)·D sign bits
+//     per round on every paradigm.  The aggregate equals MarsitSync's
+//     fold_schedule of the same schedule bit for bit.
+//   all-gather plane of floats   full-precision flush rounds (float
+//     summation is order-sensitive, so every rank takes the mean in one
+//     fixed order).
 #pragma once
 
 #include <cstddef>
@@ -62,16 +59,10 @@ struct WorkerConfig {
   MarParadigm paradigm = MarParadigm::kRing;
   std::size_t torus_rows = 0;
   std::size_t torus_cols = 0;
-  /// One-bit data plane + rng discipline; must match the simulator run being
-  /// compared against (SyncConfig::sync_mode — the fold's rng streams differ
-  /// between modes).
+  /// Has one value; nothing reads it.  Kept only because perfbench assigns
+  /// it — remove it with SyncMode in the next change to the benchmark.
   SyncMode sync_mode = SyncMode::kReduceScatter;
   MarsitOptions options;
-  /// SyncConfig::shard_chunk_elements — the legacy fold's chunk grid.  Must
-  /// match the simulator run being compared against (the per-chunk rng
-  /// streams depend on it); the default is SyncConfig's default.  Unused by
-  /// reduce-scatter rounds, whose rng grid is the fabric segment partition.
-  std::size_t shard_chunk_elements = std::size_t{1} << 16;
   /// Prices the per-round α–β prediction reported next to measured
   /// wall-clock.
   CostModel cost_model;
@@ -90,7 +81,7 @@ struct RoundReport {
   /// Payload bits ALL ranks put on the wire this round, from the same
   /// NetworkSim replay as predicted_comm_seconds.  Identical on every rank
   /// and bit-for-bit equal to the sum of per-rank wire_bits: 2(M−1)·D sign
-  /// bits on reduce-scatter one-bit rounds, M(M−1)·D on legacy ones.
+  /// bits on one-bit rounds.
   double total_wire_bits = 0.0;
 };
 

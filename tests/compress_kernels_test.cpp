@@ -162,20 +162,6 @@ TEST(KernelsTest, InPlaceCombineMatchesAllocating) {
   }
 }
 
-TEST(KernelsTest, InPlaceFoldMatchesAllocating) {
-  const std::size_t d = 1000;
-  std::vector<BitVector> signs;
-  for (std::size_t m = 0; m < 6; ++m) {
-    const std::vector<float> g = random_gradient(d, 61 + m);
-    signs.push_back(pack_signs({g.data(), d}));
-  }
-  Rng rng_alloc(5), rng_into(5);
-  const BitVector expected = one_bit_fold(signs, rng_alloc);
-  std::vector<BitVector> scratch = signs;
-  one_bit_fold_into(scratch, rng_into);
-  EXPECT_EQ(scratch.front(), expected);
-}
-
 TEST(KernelsTest, NanPacksAsNegative) {
   // The scalar convention: NaN >= 0 is false, so NaN packs as −1.  The
   // AVX compare must agree (ordered non-signalling GE).

@@ -7,9 +7,9 @@
 //   * a chi-square goodness-of-fit over *every* hop position m ∈ {2..16},
 //     for both disagreement branches (the incoming aggregate survives w.p.
 //     (m−1)/m; the local worker wins w.p. 1/m);
-//   * end-to-end unbiasedness of the full ring chain fold and the
-//     ragged-torus fold (the degraded-membership shape from
-//     MarsitSync::fold_signs_words) against the exact mean sign;
+//   * end-to-end unbiasedness of the full ring chain fold and a
+//     ragged-torus fold (whole-row aggregates of unequal weight merging)
+//     against the exact mean sign;
 //   * the same two families with the fold split across independently
 //     seeded segments (core/one_bit.hpp's segment_fold_seed /
 //     segment_op_rng — the reduce-scatter rng discipline), at segment
@@ -246,10 +246,10 @@ TEST(OneBitStatTest, FullRingFoldIsUnbiasedForMeanSign) {
 }
 
 TEST(OneBitStatTest, RaggedTorusFoldIsUnbiasedForMeanSign) {
-  // The degraded-torus shape from MarsitSync::fold_signs_words: 7 survivors
-  // re-form as rows of 3 (last row short), rows fold internally with weights
-  // 1..len, then whole-row aggregates merge into row 0 carrying their true
-  // accumulated weights.  Unbiasedness must hold for the ragged shape too.
+  // A ragged torus: 7 members as rows of 3 (last row short), rows fold
+  // internally with weights 1..len, then whole-row aggregates merge into
+  // row 0 carrying their true accumulated weights.  The weighted ⊙ must stay
+  // unbiased when the merged aggregates' weights differ.
   const std::size_t m = 7;
   const std::size_t cols = 3;
   const std::size_t reps = 64;

@@ -229,7 +229,6 @@ std::vector<std::vector<float>> compensation_of(const SyncStrategy& strategy) {
 /// and one worker absent from the one-bit round kDropRound.
 RsRun run_reduce_scatter_rounds(MarParadigm paradigm, ThreadPool* pool) {
   SyncConfig config = base_config(paradigm, pool);
-  config.sync_mode = SyncMode::kReduceScatter;
   FaultPlan::DropOut drop;
   drop.worker = kDroppedWorker;
   drop.from_round = kDropRound;
@@ -315,7 +314,6 @@ TEST(ShardedSyncTest, MarsitReduceScatterMatchesStoredSumReference) {
   // c = adjusted − g.  No flush, so the compensation carries across rounds.
   ThreadPool pool(4);
   SyncConfig config = base_config(MarParadigm::kTorus2d, &pool);
-  config.sync_mode = SyncMode::kReduceScatter;
   auto strategy = make_sync_strategy(SyncMethod::kMarsit, config);
   const float eta_s = MethodOptions{}.eta_s;
 

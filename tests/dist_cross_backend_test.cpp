@@ -1,6 +1,6 @@
 // The cross-backend determinism contract (DESIGN.md §14) as a conformance
 // matrix: {ring, 2×2 / 2×4 torus, parameter server, binomial tree} ×
-// {legacy all-gather, reduce-scatter} × {4, 8 ranks}.  For every cell, one
+// {4, 8 ranks}.  For every cell, one
 // seed drives three executions — the simulator (DistributedTrainer +
 // MarsitSync), the distributed worker over SimTransport, and the
 // distributed worker over real loopback sockets — and every rank of every
@@ -35,8 +35,7 @@ namespace {
 
 constexpr std::size_t kRounds = 6;
 
-dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode,
-                                 std::size_t world) {
+dist::WorkerConfig worker_config(MarParadigm paradigm, std::size_t world) {
   dist::WorkerConfig config;
   config.batch_size_per_worker = 8;
   config.optimizer = OptimizerKind::kSgd;
@@ -45,14 +44,12 @@ dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode,
   config.trainer_seed = 11;
   config.sync_seed = 2022;
   config.paradigm = paradigm;
-  config.sync_mode = mode;
   if (paradigm == MarParadigm::kTorus2d) {
     config.torus_rows = 2;
     config.torus_cols = world / 2;
   }
   config.options.eta_s = 2e-3f;
   config.options.full_precision_period = 3;
-  config.shard_chunk_elements = 128;
   return config;
 }
 
@@ -70,9 +67,10 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   sync_config.paradigm = config.paradigm;
   sync_config.torus_rows = config.torus_rows;
   sync_config.torus_cols = config.torus_cols;
-  sync_config.sync_mode = config.sync_mode;
   sync_config.seed = config.sync_seed;
-  sync_config.shard_chunk_elements = config.shard_chunk_elements;
+  // Several chunks per pack and unpack pass.  The chunk grid draws no rng,
+  // so the worker, which runs unchunked, must still match bit for bit.
+  sync_config.shard_chunk_elements = 128;
   MarsitSync strategy(sync_config, config.options);
 
   TrainerConfig trainer_config;
@@ -195,12 +193,11 @@ void expect_pinned_predictions(const dist::WorkerResult& result,
                             << rounds.str();
 }
 
-void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world,
+void run_cell(MarParadigm paradigm, std::size_t world,
               std::uint64_t pinned_predictions) {
   SCOPED_TRACE(testing::Message()
-               << mar_paradigm_name(paradigm) << " / " << sync_mode_name(mode)
-               << " / " << world << " ranks");
-  const dist::WorkerConfig config = worker_config(paradigm, mode, world);
+               << mar_paradigm_name(paradigm) << " / " << world << " ranks");
+  const dist::WorkerConfig config = worker_config(paradigm, world);
   const std::uint64_t oracle = trainer_digest(config, world);
 
   const std::vector<dist::WorkerResult> sim =
@@ -232,50 +229,29 @@ void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world,
 }
 
 /// Runs the 4- and 8-rank cells; `pinned` holds their prediction digests.
-void run_matrix(MarParadigm paradigm, SyncMode mode,
-                const std::uint64_t (&pinned)[2]) {
+void run_matrix(MarParadigm paradigm, const std::uint64_t (&pinned)[2]) {
   set_log_level(LogLevel::kWarning);
-  run_cell(paradigm, mode, 4, pinned[0]);
-  run_cell(paradigm, mode, 8, pinned[1]);
-}
-
-TEST(DistCrossBackendTest, RingLegacyAllGather) {
-  run_matrix(MarParadigm::kRing, SyncMode::kLegacyAllGather,
-             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
+  run_cell(paradigm, 4, pinned[0]);
+  run_cell(paradigm, 8, pinned[1]);
 }
 
 TEST(DistCrossBackendTest, RingReduceScatter) {
-  run_matrix(MarParadigm::kRing, SyncMode::kReduceScatter,
+  run_matrix(MarParadigm::kRing,
              {0x466386f74734cfedull, 0x15cb4abc39077bd5ull});
 }
 
-TEST(DistCrossBackendTest, TorusLegacyAllGather) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kLegacyAllGather,
-             {0x3bca73afd112defdull, 0x61c8b0904c49bb11ull});
-}
-
 TEST(DistCrossBackendTest, TorusReduceScatter) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kReduceScatter,
+  run_matrix(MarParadigm::kTorus2d,
              {0x8da2c9f0795ae275ull, 0xfa1977b0a52e5b61ull});
 }
 
-TEST(DistCrossBackendTest, ParameterServerLegacyAllGather) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kLegacyAllGather,
-             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
-}
-
 TEST(DistCrossBackendTest, ParameterServerReduceScatter) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kReduceScatter,
+  run_matrix(MarParadigm::kParameterServer,
              {0x73603c29f0b8f7a5ull, 0xa4173b21e43dd375ull});
 }
 
-TEST(DistCrossBackendTest, TreeLegacyAllGather) {
-  run_matrix(MarParadigm::kTree, SyncMode::kLegacyAllGather,
-             {0x5db9a4b09d5a58dull, 0x26f54623f004e715ull});
-}
-
 TEST(DistCrossBackendTest, TreeReduceScatter) {
-  run_matrix(MarParadigm::kTree, SyncMode::kReduceScatter,
+  run_matrix(MarParadigm::kTree,
              {0xaa1f16253d1d9a25ull, 0x8e9bc4836cbca255ull});
 }
 

@@ -5,12 +5,11 @@
 // SocketTransport counts every payload byte and data frame it send()s.
 // This test runs real one-bit rounds over loopback and pins:
 //
-//   * reduce-scatter mode moves exactly 2(M−1)·D sign bits per round
-//     (D = the word-padded dimension), as M(M−1) reduce-scatter messages
-//     plus M(M−1) all-gather messages — so the only bytes on the wire
-//     beyond the paper's volume are the per-message frame header and CRC
-//     footer, whose exact total the frame counters expose;
-//   * legacy all-gather mode still moves M(M−1)·D sign bits;
+//   * a one-bit round moves exactly 2(M−1)·D sign bits (D = the
+//     word-padded dimension), as M(M−1) reduce-scatter messages plus
+//     M(M−1) all-gather messages — so the only bytes on the wire beyond the
+//     paper's volume are the per-message frame header and CRC footer, whose
+//     exact total the frame counters expose;
 //   * RoundReport accounting agrees bit-for-bit with the transport's own
 //     byte counters: per-rank wire_bits equals 8 × measured payload bytes,
 //     and total_wire_bits equals their sum on every rank.
@@ -36,7 +35,7 @@ namespace {
 constexpr std::size_t kWorkers = 4;
 constexpr std::size_t kRounds = 3;
 
-dist::WorkerConfig worker_config(SyncMode mode) {
+dist::WorkerConfig worker_config() {
   dist::WorkerConfig config;
   config.batch_size_per_worker = 8;
   config.optimizer = OptimizerKind::kSgd;
@@ -45,7 +44,6 @@ dist::WorkerConfig worker_config(SyncMode mode) {
   config.trainer_seed = 5;
   config.sync_seed = 1177;
   config.paradigm = MarParadigm::kRing;
-  config.sync_mode = mode;
   config.options.eta_s = 2e-3f;
   // No flush rounds: every round is a one-bit round, so the byte counters
   // pin the sign-bit volume alone.
@@ -125,8 +123,7 @@ void check_reports_match_counters(const SocketRun& run) {
 
 TEST(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
   set_log_level(LogLevel::kWarning);
-  const SocketRun run = run_over_sockets(worker_config(
-      SyncMode::kReduceScatter));
+  const SocketRun run = run_over_sockets(worker_config());
   const std::uint64_t w = sign_words();
   ASSERT_GE(w, kWorkers) << "model too small: empty ring segments";
 
@@ -156,36 +153,6 @@ TEST(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
     for (const dist::RoundReport& report : run.results[r].rounds) {
       EXPECT_EQ(report.total_wire_bits,
                 static_cast<double>(2 * (kWorkers - 1) * word_bytes * 8));
-    }
-  }
-  check_reports_match_counters(run);
-}
-
-TEST(DistWireVolumeTest, LegacyAllGatherStillMovesMTimesMMinusOneD) {
-  set_log_level(LogLevel::kWarning);
-  const SocketRun run = run_over_sockets(worker_config(
-      SyncMode::kLegacyAllGather));
-  const std::uint64_t w = sign_words();
-  const std::uint64_t word_bytes = w * sizeof(std::uint64_t);
-
-  std::uint64_t payload = 0;
-  std::uint64_t frames = 0;
-  for (std::size_t r = 0; r < kWorkers; ++r) {
-    // Ring all-gather: every rank forwards one full sign vector per step.
-    EXPECT_EQ(run.payload_bytes[r],
-              kRounds * (kWorkers - 1) * word_bytes);
-    EXPECT_EQ(run.data_frames[r], kRounds * (kWorkers - 1));
-    payload += run.payload_bytes[r];
-    frames += run.data_frames[r];
-  }
-  EXPECT_EQ(payload, kRounds * kWorkers * (kWorkers - 1) * word_bytes);
-  EXPECT_EQ(frames, kRounds * kWorkers * (kWorkers - 1));
-
-  for (std::size_t r = 0; r < kWorkers; ++r) {
-    for (const dist::RoundReport& report : run.results[r].rounds) {
-      EXPECT_EQ(report.total_wire_bits,
-                static_cast<double>(kWorkers * (kWorkers - 1) * word_bytes *
-                                    8));
     }
   }
   check_reports_match_counters(run);

@@ -183,7 +183,6 @@ std::uint64_t run_text_torus_rs_digest(ThreadPool* pool) {
   sync_config.paradigm = MarParadigm::kTorus2d;
   sync_config.torus_rows = 2;
   sync_config.torus_cols = 2;
-  sync_config.sync_mode = SyncMode::kReduceScatter;
   sync_config.seed = 2024;
   sync_config.pool = pool;
   sync_config.shard_chunk_elements = 1024;

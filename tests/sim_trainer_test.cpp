@@ -88,7 +88,6 @@ TEST_F(TrainerTest, ParallelApplyMatchesSerial) {
   // out; the parameters must match the serial run bit for bit.
   auto run_with = [&](bool parallel) {
     SyncConfig sync_config = ring_config(4);
-    sync_config.sync_mode = SyncMode::kReduceScatter;
     sync_config.shard_chunk_elements = 512;
     MarsitOptions options;
     options.eta_s = 2e-3f;

@@ -85,8 +85,8 @@ TEST(MarsitLintTest, R1AcceptsDerivedSeed) {
 }
 
 TEST(MarsitLintTest, R1AcceptsSegmentAndChunkSeedHelpers) {
-  // The sanctioned wrappers around derive_seed: the legacy per-chunk grid
-  // and the reduce-scatter per-(segment, op) streams.
+  // The sanctioned wrappers around derive_seed: the sign-sum per-chunk
+  // grid and the reduce-scatter per-(segment, op) streams.
   EXPECT_TRUE(lint_source("src/core/fixture.cpp",
                           "Rng rng(segment_fold_seed(round_seed, 3));\n")
                   .empty());

@@ -120,7 +120,7 @@ void check_rng_discipline(const FileContext& file, const Rule& rule,
                  is_id(tokens[j], "segment_fold_seed") ||
                  is_id(tokens[j], "segment_op_rng")) {
         // The sanctioned seed-derivation helpers: the root derive_seed plus
-        // the chunk- and segment-stream wrappers built on it (the legacy
+        // the chunk- and segment-stream wrappers built on it (the sign-sum
         // per-chunk grid and the reduce-scatter per-(segment, op) grid).
         has_derivation = true;
       }
