@@ -153,8 +153,7 @@ TEST_F(IntegrationTest, AdamTextClassificationWithMarsit) {
 
   // eta_s matches Adam's per-coordinate step (eta_l): at 1e-3 the signed
   // update is ~20x smaller than the local one, the compensation grows
-  // between flushes and most seeds stall at chance under either one-bit
-  // plane.
+  // between flushes and most seeds stall at chance.
   MarsitOptions options;
   options.eta_s = 0.02f;
   options.full_precision_period = 30;
