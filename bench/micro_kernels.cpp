@@ -23,6 +23,12 @@
 // aggregate speedup (summed reference seconds over summed blocked seconds)
 // lands below X; CI's bench-smoke job pins the committed floor.
 //
+// The conv_layer rows time whole Conv2d layers, forward and backward at the
+// trainer's per-worker batch of 16, on each ResNet20-mini conv geometry, so
+// the layout work around the GEMMs (padding, im2col/col2im, transposes, bias
+// sums) shows up too.  Each row records how many of the model's 21 convs
+// share its geometry; `conv_layer_model_seconds` weights the rows by it.
+//
 // The dense rows time the large-D round's O(M·D) layers at the
 // text_wide_torus width (D = 3,204,290): the Adam step as the scalar member
 // loop vs the shipped vectorized one (bit-identical, tests/nn_optimizer_test),
@@ -43,6 +49,7 @@
 #include "compress/sign_sum.hpp"
 #include "core/one_bit.hpp"
 #include "core/sync_strategy.hpp"
+#include "nn/conv.hpp"
 #include "nn/optimizer.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
@@ -88,6 +95,16 @@ struct GemmResult {
   std::size_t n = 0;
   double reference_seconds = 0.0;
   double blocked_seconds = 0.0;
+};
+
+struct ConvLayerResult {
+  std::string layer;
+  std::size_t count = 0;
+  ImageDims in;
+  std::size_t out_channels = 0;
+  std::size_t stride = 0;
+  double forward_seconds = 0.0;
+  double backward_seconds = 0.0;
 };
 
 struct DenseResult {
@@ -311,7 +328,7 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
   return results;
 }
 
-enum class GemmEntry { kMatmul, kAtB, kABt };
+enum class GemmEntry { kMatmul, kAtB, kABt, kBRows, kARows };
 
 struct GemmCase {
   const char* product;
@@ -323,19 +340,22 @@ struct GemmCase {
   bool swapped_reference = false;
 };
 
-/// The products Conv2d runs per sample on ResNet20-mini (one row per stage:
-/// 16×16, 8×8, 4×4 planes) and Linear runs per batch in the text model.
-/// The dW rows accumulate dWᵀ(patch × Cout) += cols · dyᵀ.
+/// The products a stride-1 Conv2d runs per sample on ResNet20-mini (one row
+/// per stage: 16×16, 8×8, 4×4 planes) and Linear runs per batch in the text
+/// model.  The conv forward and dW products span the wide pixel grid
+/// ((H − 1)·(W + 2) + W columns) and read the padded input through a row
+/// table; the rows here point into one dense operand, which the reference
+/// reads directly.  The dW rows accumulate dWᵀ(patch × Cout) += taps · dyᵀ.
 constexpr GemmCase kGemmCases[] = {
-    {"conv_stem_forward", GemmEntry::kMatmul, 8, 27, 256},
-    {"conv1_forward", GemmEntry::kMatmul, 8, 72, 256},
-    {"conv1_dw", GemmEntry::kABt, 72, 256, 8, true},
+    {"conv_stem_forward", GemmEntry::kBRows, 8, 27, 286},
+    {"conv1_forward", GemmEntry::kBRows, 8, 72, 286},
+    {"conv1_dw", GemmEntry::kARows, 72, 286, 8, true},
     {"conv1_dcols", GemmEntry::kAtB, 72, 8, 256},
-    {"conv2_forward", GemmEntry::kMatmul, 16, 144, 64},
-    {"conv2_dw", GemmEntry::kABt, 144, 64, 16, true},
+    {"conv2_forward", GemmEntry::kBRows, 16, 144, 78},
+    {"conv2_dw", GemmEntry::kARows, 144, 78, 16, true},
     {"conv2_dcols", GemmEntry::kAtB, 144, 16, 64},
-    {"conv3_forward", GemmEntry::kMatmul, 32, 288, 16},
-    {"conv3_dw", GemmEntry::kABt, 288, 16, 32, true},
+    {"conv3_forward", GemmEntry::kBRows, 32, 288, 22},
+    {"conv3_dw", GemmEntry::kARows, 288, 22, 32, true},
     {"conv3_dcols", GemmEntry::kAtB, 288, 32, 16},
     {"linear_forward", GemmEntry::kABt, 32, 64, 2},
     {"linear_dw", GemmEntry::kAtB, 2, 32, 64},
@@ -350,6 +370,10 @@ const char* entry_name(GemmEntry entry) {
       return "matmul_at_b";
     case GemmEntry::kABt:
       return "matmul_a_bt";
+    case GemmEntry::kBRows:
+      return "matmul_b_rows";
+    case GemmEntry::kARows:
+      return "matmul_a_rows";
   }
   return "?";
 }
@@ -369,6 +393,14 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
     const std::span<const float> bs{b.data(), b.size()};
     const std::span<float> cs{c.data(), c.size()};
     const std::span<float> ss{scratch.data(), scratch.size()};
+    // Row tables over the dense a (m rows of k) and b (k rows of n).
+    std::vector<const float*> a_rows(gc.m), b_rows(gc.k);
+    for (std::size_t i = 0; i < gc.m; ++i) {
+      a_rows[i] = a.data() + i * gc.k;
+    }
+    for (std::size_t p = 0; p < gc.k; ++p) {
+      b_rows[p] = b.data() + p * gc.n;
+    }
     const std::size_t calls = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                kMacsPerTiming / static_cast<double>(gc.m * gc.k * gc.n)));
@@ -382,12 +414,14 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
     const auto reference = [&] {
       switch (gc.entry) {
         case GemmEntry::kMatmul:
+        case GemmEntry::kBRows:
           matmul_reference(as, bs, cs, gc.m, gc.k, gc.n);
           break;
         case GemmEntry::kAtB:
           matmul_at_b_reference(as, bs, cs, gc.m, gc.k, gc.n);
           break;
         case GemmEntry::kABt:
+        case GemmEntry::kARows:
           if (gc.swapped_reference) {
             matmul_a_bt_reference(bs, as, cs, gc.n, gc.k, gc.m);
           } else {
@@ -407,6 +441,12 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
         case GemmEntry::kABt:
           matmul_a_bt(as, bs, cs, gc.m, gc.k, gc.n, ss);
           break;
+        case GemmEntry::kBRows:
+          matmul_b_rows(as, b_rows, cs, gc.m, gc.k, gc.n);
+          break;
+        case GemmEntry::kARows:
+          matmul_a_rows(a_rows, bs, cs, gc.m, gc.k, gc.n);
+          break;
       }
     };
     GemmResult r;
@@ -421,6 +461,76 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
     results.push_back(r);
   }
   return results;
+}
+
+/// Every ResNet20-mini conv geometry (3×3, padding 1) and how many of the
+/// model's convs have it.
+struct ConvLayerCase {
+  const char* layer;
+  std::size_t count;
+  ImageDims in;
+  std::size_t out_channels;
+  std::size_t stride;
+};
+
+constexpr ConvLayerCase kConvLayerCases[] = {
+    {"stem", 1, {3, 16, 16}, 8, 1},
+    {"stage1_block", 6, {8, 16, 16}, 8, 1},
+    {"stage2_down", 1, {8, 16, 16}, 16, 2},
+    {"stage2_block", 6, {16, 8, 8}, 16, 1},
+    {"stage3_down", 1, {16, 8, 8}, 32, 2},
+    {"stage3_block", 6, {32, 4, 4}, 32, 1},
+};
+
+/// The image workloads' per-worker batch.
+constexpr std::size_t kConvBatch = 16;
+
+std::vector<ConvLayerResult> run_conv_layers(std::size_t reps) {
+  // Each timing repeats the call, so every row times well above the
+  // clock's resolution.
+  constexpr std::size_t kCalls = 20;
+  std::vector<ConvLayerResult> results;
+  Rng rng(44);
+  for (const ConvLayerCase& lc : kConvLayerCases) {
+    Conv2d conv(lc.in, lc.out_channels, 3, lc.stride, 1);
+    conv.init(rng);
+    std::vector<float> x(kConvBatch * conv.in_size()), dx(x.size());
+    std::vector<float> y(kConvBatch * conv.out_size()), dy(y.size());
+    fill_normal({x.data(), x.size()}, rng, 0.0f, 1.0f);
+    fill_normal({dy.data(), dy.size()}, rng, 0.0f, 1.0f);
+    const auto forward = [&] {
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        conv.forward({x.data(), x.size()}, kConvBatch, {y.data(), y.size()});
+      }
+    };
+    // Backward reuses the last forward's cache; the gradients accumulate.
+    const auto backward = [&] {
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        conv.backward({dy.data(), dy.size()}, kConvBatch,
+                      {dx.data(), dx.size()});
+      }
+    };
+    ConvLayerResult r;
+    r.layer = lc.layer;
+    r.count = lc.count;
+    r.in = lc.in;
+    r.out_channels = lc.out_channels;
+    r.stride = lc.stride;
+    r.forward_seconds = time_best(reps, forward) / kCalls;
+    r.backward_seconds = time_best(reps, backward) / kCalls;
+    results.push_back(r);
+  }
+  return results;
+}
+
+/// Forward plus backward seconds of all of ResNet20-mini's convs.
+double conv_model_seconds(const std::vector<ConvLayerResult>& layers) {
+  double total = 0.0;
+  for (const ConvLayerResult& r : layers) {
+    total += static_cast<double>(r.count) *
+             (r.forward_seconds + r.backward_seconds);
+  }
+  return total;
 }
 
 /// The text_wide_torus parameter count: a 50000 × 64 embedding plus the
@@ -534,6 +644,7 @@ double aggregate_speedup(const std::vector<GemmResult>& gemm) {
 
 void write_json(const Options& opt, const std::vector<KernelResult>& results,
                 const std::vector<GemmResult>& gemm,
+                const std::vector<ConvLayerResult>& layers,
                 const std::vector<DenseResult>& dense, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
@@ -575,6 +686,22 @@ void write_json(const Options& opt, const std::vector<KernelResult>& results,
                  r.reference_seconds, r.blocked_seconds,
                  r.reference_seconds / r.blocked_seconds,
                  i + 1 < gemm.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"conv_layer_batch\": %zu,\n", kConvBatch);
+  std::fprintf(f, "  \"conv_layer_model_seconds\": %.9f,\n",
+               conv_model_seconds(layers));
+  std::fprintf(f, "  \"conv_layer\": [\n");
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const ConvLayerResult& r = layers[i];
+    std::fprintf(f,
+                 "    {\"layer\": \"%s\", \"count\": %zu, "
+                 "\"in\": \"%zux%zux%zu\", \"out_channels\": %zu, "
+                 "\"stride\": %zu, \"forward_seconds\": %.9f, "
+                 "\"backward_seconds\": %.9f}%s\n",
+                 r.layer.c_str(), r.count, r.in.channels, r.in.height,
+                 r.in.width, r.out_channels, r.stride, r.forward_seconds,
+                 r.backward_seconds, i + 1 < layers.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"dense\": [\n");
@@ -626,6 +753,17 @@ int main(int argc, char** argv) {
   const double speedup = aggregate_speedup(gemm);
   std::fprintf(stderr, "  aggregate GEMM speedup %.2fx (floor %.2fx)\n",
                speedup, kGemmSpeedupFloor);
+  std::fprintf(stderr, "timing Conv2d layers at batch %zu...\n", kConvBatch);
+  const std::vector<ConvLayerResult> layers = run_conv_layers(opt.reps);
+  for (const ConvLayerResult& r : layers) {
+    std::fprintf(stderr, "  %-13s x%zu  %2zux%2zux%2zu -> %2zu s%zu  "
+                 "forward %.1fus  backward %.1fus\n",
+                 r.layer.c_str(), r.count, r.in.channels, r.in.height,
+                 r.in.width, r.out_channels, r.stride, r.forward_seconds * 1e6,
+                 r.backward_seconds * 1e6);
+  }
+  std::fprintf(stderr, "  all ResNet20-mini convs: %.2fms\n",
+               conv_model_seconds(layers) * 1e3);
   std::fprintf(stderr, "timing the dense round layers at D = %zu...\n",
                kDenseElements);
   const std::vector<DenseResult> dense = run_dense(opt.reps, pool);
@@ -635,7 +773,7 @@ int main(int argc, char** argv) {
                  r.optimized.c_str(), r.optimized_seconds * 1e3,
                  r.baseline_seconds / r.optimized_seconds);
   }
-  write_json(opt, all, gemm, dense, pool.num_threads());
+  write_json(opt, all, gemm, layers, dense, pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
   if (opt.min_gemm_speedup > 0.0 && speedup < opt.min_gemm_speedup) {
     std::fprintf(stderr,

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<SyncStrategy> strategy;
     if (marsit) {
       MethodOptions options;
-      options.eta_s = 1e-3f;
+      options.eta_s = 0.02f;  // the Adam local step size, eta_l below
       options.full_precision_period = 50;
       strategy = make_sync_strategy(SyncMethod::kMarsit, sync_config, options);
     } else {

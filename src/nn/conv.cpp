@@ -78,19 +78,57 @@ bool Conv2d::flat_taps() const {
   return stride_ == 1 && out_dims().width == in_.width;
 }
 
+std::size_t Conv2d::padded_width() const { return in_.width + 2 * padding_; }
+
+std::size_t Conv2d::padded_plane() const {
+  return (in_.height + 2 * padding_) * padded_width();
+}
+
+std::size_t Conv2d::wide_pixels() const {
+  const ImageDims out = out_dims();
+  return (out.height - 1) * padded_width() + out.width;
+}
+
+void Conv2d::pad_sample(const float* x_n, float* padded_n) const {
+  // Only the interior is written: the border was zeroed at allocation.
+  const std::size_t wp = padded_width();
+  for (std::size_t ic = 0; ic < in_.channels; ++ic) {
+    const float* src = x_n + ic * in_.height * in_.width;
+    float* dst = padded_n + ic * padded_plane() + padding_ * wp + padding_;
+    for (std::size_t iy = 0; iy < in_.height;
+         ++iy, src += in_.width, dst += wp) {
+      std::copy(src, src + in_.width, dst);
+    }
+  }
+}
+
+void Conv2d::point_rows(std::size_t n) {
+  // Patch row (ic, ky, kx) of wide pixel oy·Wp + ox is padded input
+  // (ic, oy + ky, ox + kx): one run per tap, starting at the tap's offset.
+  // The run of the last tap ends on the plane's last element.
+  const std::size_t wp = padded_width();
+  const float* padded_n = padded_.data() + n * in_.channels * padded_plane();
+  rows_.resize(in_.channels * kernel_ * kernel_);
+  std::size_t c = 0;
+  for (std::size_t ic = 0; ic < in_.channels; ++ic) {
+    for (std::size_t ky = 0; ky < kernel_; ++ky) {
+      for (std::size_t kx = 0; kx < kernel_; ++kx, ++c) {
+        rows_[c] = padded_n + ic * padded_plane() + ky * wp + kx;
+      }
+    }
+  }
+}
+
 void Conv2d::im2col(const float* x_n, float* cols) const {
   // cols is (Cin·k²) × (out.h·out.w): one ROW per patch component, one
   // COLUMN per output pixel, so the convolution is
   //   y(Cout × plane) = W(Cout × patch) · cols(patch × plane)
   // — a single GEMM per sample with the long `plane` axis innermost and the
   // result already in NCHW layout (no transposes anywhere).  Each tap copies
-  // its valid runs and zeroes only the padding: one run per output row, or
-  // with flat_taps() one run for the whole plane, whose wrap-around columns
-  // are padding and get zeroed afterwards.
+  // one strided run per output row and zeroes only the padding.
   const ImageDims out = out_dims();
   const std::size_t in_plane = in_.height * in_.width;
   const std::size_t out_plane = out.height * out.width;
-  const bool flat = flat_taps();
   std::size_t c = 0;
   for (std::size_t ic = 0; ic < in_.channels; ++ic) {
     const float* x_plane = x_n + ic * in_plane;
@@ -103,21 +141,6 @@ void Conv2d::im2col(const float* x_n, float* cols) const {
         float* row = cols + c * out_plane;
         if (xs.lo == xs.hi || ys.lo == ys.hi) {
           std::fill(row, row + out_plane, 0.0f);
-          continue;
-        }
-        if (flat) {
-          const std::size_t first = ys.lo * out.width + xs.lo;
-          const std::size_t last = (ys.hi - 1) * out.width + xs.hi;
-          const float* src = x_plane + ((first + ky * in_.width + kx) -
-                                        (padding_ * in_.width + padding_));
-          std::fill(row, row + first, 0.0f);
-          std::copy(src, src + (last - first), row + first);
-          std::fill(row + last, row + out_plane, 0.0f);
-          for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
-            float* out_row = row + oy * out.width;
-            std::fill(out_row, out_row + xs.lo, 0.0f);
-            std::fill(out_row + xs.hi, out_row + out.width, 0.0f);
-          }
           continue;
         }
         std::fill(row, row + ys.lo * out.width, 0.0f);
@@ -197,27 +220,51 @@ void Conv2d::forward(std::span<const float> x, std::size_t batch,
   const ImageDims out = out_dims();
   const std::size_t out_plane = out.height * out.width;
   const std::size_t patch = in_.channels * kernel_ * kernel_;
+  const bool implicit = stride_ == 1;
+  // The product's pixel grid: wide at stride 1 (row pitch Wp), else the
+  // output plane.
+  const std::size_t pitch = implicit ? padded_width() : out.width;
+  const std::size_t pixels = implicit ? wide_pixels() : out_plane;
 
-  // Cache the im2col image: backward reuses it for the weight gradient.
-  if (cached_cols_.size() != batch * out_plane * patch) {
-    cached_cols_ = Tensor(batch * out_plane * patch);
+  // Cache what backward needs for the weight gradient: the padded input
+  // (stride 1) or the im2col image.  A new buffer is all zeros, which is
+  // the padded input's border.
+  Tensor& cache = implicit ? padded_ : cached_cols_;
+  const std::size_t cache_size =
+      batch * (implicit ? in_.channels * padded_plane() : out_plane * patch);
+  if (cache.size() != cache_size) {
+    cache = Tensor(cache_size);
   }
   cached_batch_ = batch;
+  if (y_grid_.empty()) {
+    y_grid_ = Tensor(out_channels_ * pixels);
+  }
 
   const auto w = weights();
   const auto b = bias();
   for (std::size_t n = 0; n < batch; ++n) {
-    float* cols = cached_cols_.data() + n * out_plane * patch;
-    im2col(x.data() + n * in_size(), cols);
+    const float* x_n = x.data() + n * in_size();
+    // y_grid(Cout × pixels) = W(Cout × patch) · patch rows(patch × pixels).
+    if (implicit) {
+      pad_sample(x_n, padded_.data() + n * in_.channels * padded_plane());
+      point_rows(n);
+      matmul_b_rows(w, rows_, y_grid_.span(), out_channels_, patch, pixels);
+    } else {
+      float* cols = cached_cols_.data() + n * out_plane * patch;
+      im2col(x_n, cols);
+      matmul(w, {cols, patch * out_plane}, y_grid_.span(), out_channels_,
+             patch, pixels);
+    }
+    // y_n(Cout × plane) = the grid's output pixels + bias.
     float* y_n = y.data() + n * out_size();
-    // y(Cout × plane) = W(Cout × patch) · cols(patch × plane).
-    matmul(w, {cols, patch * out_plane}, {y_n, out_size()}, out_channels_,
-           patch, out_plane);
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      float* y_plane = y_n + oc * out_plane;
       const float bias_oc = b[oc];
-      for (std::size_t p = 0; p < out_plane; ++p) {
-        y_plane[p] += bias_oc;
+      for (std::size_t oy = 0; oy < out.height; ++oy) {
+        const float* src = y_grid_.data() + oc * pixels + oy * pitch;
+        float* dst = y_n + oc * out_plane + oy * out.width;
+        for (std::size_t ox = 0; ox < out.width; ++ox) {
+          dst[ox] = src[ox] + bias_oc;
+        }
       }
     }
   }
@@ -227,12 +274,16 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
                       std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * out_size()) << "conv backward: dy extent";
   MARSIT_CHECK(dx.size() == batch * in_size()) << "conv backward: dx extent";
-  MARSIT_CHECK(cached_batch_ == batch && !cached_cols_.empty())
+  const bool implicit = stride_ == 1;
+  MARSIT_CHECK(cached_batch_ == batch &&
+               !(implicit ? padded_ : cached_cols_).empty())
       << "conv backward without matching forward";
 
   const ImageDims out = out_dims();
   const std::size_t out_plane = out.height * out.width;
   const std::size_t patch = in_.channels * kernel_ * kernel_;
+  const std::size_t pitch = implicit ? padded_width() : out.width;
+  const std::size_t pixels = implicit ? wide_pixels() : out_plane;
 
   const auto w = weights();
   auto dw = grad_storage_.span().subspan(0, weight_count_);
@@ -240,8 +291,9 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
 
   if (dcols_.empty()) {
     dcols_ = Tensor(patch * out_plane);
-    dy_t_ = Tensor(out_plane * out_channels_);
+    dy_t_ = Tensor(pixels * out_channels_);
     dw_t_ = Tensor(weight_count_);
+    bias_acc_.resize(out_channels_);
   }
   // The weight gradient accumulates as dWᵀ(patch × Cout) so the kernel's B
   // operand (dyᵀ) is contiguous along Cout; each element sums its terms
@@ -250,20 +302,37 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
   zero(dx);
   for (std::size_t n = 0; n < batch; ++n) {
     const float* dy_n = dy.data() + n * out_size();
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const float* dy_plane = dy_n + oc * out_plane;
-      double bias_acc = 0.0;
-      for (std::size_t p = 0; p < out_plane; ++p) {
-        bias_acc += dy_plane[p];
+    // dyᵀ(pixels × Cout) and the bias gradient in one pass; each channel
+    // still sums its pixels in ascending order.  At stride 1, dyᵀ row
+    // oy·Wp + ox holds pixel (oy, ox) and the rows between output rows stay
+    // +0 from allocation, so their dW terms add ±0.
+    std::fill(bias_acc_.begin(), bias_acc_.end(), 0.0);
+    for (std::size_t oy = 0; oy < out.height; ++oy) {
+      float* dst = dy_t_.data() + oy * pitch * out_channels_;
+      for (std::size_t ox = 0; ox < out.width; ++ox, dst += out_channels_) {
+        const float* src = dy_n + oy * out.width + ox;
+        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+          const float g = src[oc * out_plane];
+          dst[oc] = g;
+          bias_acc_[oc] += g;
+        }
       }
-      db[oc] += static_cast<float>(bias_acc);
+    }
+    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+      db[oc] += static_cast<float>(bias_acc_[oc]);
     }
 
-    const float* cols = cached_cols_.data() + n * out_plane * patch;
-    // dWᵀ(patch × Cout) += cols(patch × plane) · dy(Cout × plane)ᵀ.
-    matmul_a_bt({cols, patch * out_plane}, {dy_n, out_size()}, dw_t_.span(),
-                patch, out_plane, out_channels_, dy_t_.span(),
-                /*beta=*/1.0f);
+    if (implicit) {
+      // dWᵀ(patch × Cout) += padded taps(patch × wide) · dyᵀ(wide × Cout).
+      point_rows(n);
+      matmul_a_rows(rows_, dy_t_.span(), dw_t_.span(), patch, pixels,
+                    out_channels_, /*beta=*/1.0f);
+    } else {
+      // dWᵀ(patch × Cout) += cols(patch × plane) · dyᵀ(plane × Cout).
+      const float* cols = cached_cols_.data() + n * out_plane * patch;
+      matmul({cols, patch * out_plane}, dy_t_.span(), dw_t_.span(), patch,
+             out_plane, out_channels_, /*beta=*/1.0f);
+    }
     // dcols(patch × plane) = Wᵀ(patch × Cout) · dy(Cout × plane).
     matmul_at_b(w, {dy_n, out_size()}, dcols_.span(), patch, out_channels_,
                 out_plane);

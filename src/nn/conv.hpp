@@ -59,13 +59,27 @@ class Conv2d final : public Layer {
 
   /// Stride 1 with output rows as wide as input rows ("same" padding):
   /// each tap then maps the input plane onto its patch row by one flat
-  /// offset, so im2col/col2im move one run per tap instead of one per row.
+  /// offset, so col2im moves one run per tap instead of one per row.
   bool flat_taps() const;
   /// Expands one sample into patch rows; see forward() for the layout.
+  /// Only stride > 1 convs use it.
   void im2col(const float* x_n, float* cols) const;
   /// Scatter-adds patch-row gradients back to one sample's input image;
   /// zeroes the padding entries of `cols` on the way.
   void col2im(float* cols, float* dx_n) const;
+
+  // Stride-1 convs run as an implicit GEMM over a zero-bordered copy of the
+  // input, (H+2p)×(W+2p) per channel.  Output pixel (oy, ox) is "wide"
+  // column oy·Wp + ox, so patch row (ic, ky, kx) is one contiguous run of
+  // the padded plane; the Wp − out.w columns between output rows are
+  // garbage (DESIGN.md §7).
+  std::size_t padded_width() const;   // Wp
+  std::size_t padded_plane() const;   // Hp·Wp
+  std::size_t wide_pixels() const;    // (out.h − 1)·Wp + out.w
+  /// Writes one sample into the interior of its padded copy.
+  void pad_sample(const float* x_n, float* padded_n) const;
+  /// Points rows_[c] at patch row c of padded sample n.
+  void point_rows(std::size_t n);
 
   ImageDims in_;
   std::size_t out_channels_;
@@ -75,13 +89,22 @@ class Conv2d final : public Layer {
   std::size_t weight_count_;
   Tensor storage_;       // [W(oc,ic,k,k) | b(oc)]
   Tensor grad_storage_;
-  Tensor cached_cols_;   // im2col image cached by forward for backward
+  // Cached by forward for backward's weight gradient: the padded input
+  // (stride 1) or the im2col image (stride > 1).
+  Tensor padded_;
+  Tensor cached_cols_;
   std::size_t cached_batch_ = 0;
+  // Forward scratch, sized on first use: one sample's patch-row pointers
+  // (stride 1) and its product over the pixel grid, before the bias.
+  std::vector<const float*> rows_;
+  Tensor y_grid_;
   // Backward scratch, sized on first use: the input-gradient patch rows,
-  // one sample's dyᵀ and the weight gradient transposed to (patch × Cout).
+  // one sample's dyᵀ (over wide pixels at stride 1), the weight gradient
+  // transposed to (patch × Cout) and one sample's bias-gradient sums.
   Tensor dcols_;
   Tensor dy_t_;
   Tensor dw_t_;
+  std::vector<double> bias_acc_;
 };
 
 class MaxPool2d final : public Layer {

@@ -237,21 +237,28 @@ void store(float* p, Vec v, std::size_t count) {
 }
 #endif
 
+/// How the kernel reads its operands: both strided, or one of them through
+/// a table of row pointers (the implicit-GEMM convolution's padded input).
+enum class Rows { kNone, kA, kB };
+
 struct Gemm {
-  const float* a;
-  std::size_t a_row;
-  std::size_t a_col;
-  const float* b;
-  std::size_t ldb;
-  float* c;
-  std::size_t ldc;
-  std::size_t k;
-  bool accumulate;  // c += A·B instead of c = A·B
+  const float* a = nullptr;
+  std::size_t a_row = 0;
+  std::size_t a_col = 0;
+  const float* const* a_rows = nullptr;  // Rows::kA: A(i,p) = a_rows[i][p]
+  const float* b = nullptr;
+  std::size_t ldb = 0;
+  const float* const* b_rows = nullptr;  // Rows::kB: B(p,j) = b_rows[p][j]
+  float* c = nullptr;
+  std::size_t ldc = 0;
+  std::size_t k = 0;
+  bool accumulate = false;  // c += A·B instead of c = A·B
 };
 
 /// Rows [i0, i0+R) × columns [j0, j0 + V·kLanes) of c; with kPartial the
-/// last vector holds only `tail` live columns.
-template <std::size_t R, std::size_t V, bool kPartial>
+/// last vector holds only `tail` live columns.  The unused operand pointer
+/// of a row-table mode is null and never offset.
+template <Rows kMode, std::size_t R, std::size_t V, bool kPartial>
 void tile(const Gemm& g, std::size_t i0, std::size_t j0, std::size_t tail) {
   const auto lanes = [tail](std::size_t v) {
     return kPartial && v == V - 1 ? tail : kLanes;
@@ -269,19 +276,44 @@ void tile(const Gemm& g, std::size_t i0, std::size_t j0, std::size_t tail) {
       }
     }
   }
-  const float* a = g.a + i0 * g.a_row;
-  const float* b = g.b + j0;
-  for (std::size_t p = 0; p < g.k; ++p, a += g.a_col, b += g.ldb) {
+  const float* a = nullptr;
+  const float* a_rows[R];
+  if constexpr (kMode == Rows::kA) {
+    for (std::size_t r = 0; r < R; ++r) {
+      a_rows[r] = g.a_rows[i0 + r];
+    }
+  } else {
+    a = g.a + i0 * g.a_row;
+  }
+  const float* b = nullptr;
+  if constexpr (kMode != Rows::kB) {
+    b = g.b + j0;
+  }
+  for (std::size_t p = 0; p < g.k; ++p) {
+    if constexpr (kMode == Rows::kB) {
+      b = g.b_rows[p] + j0;
+    }
     Vec bv[V];
     for (std::size_t v = 0; v < V; ++v) {
       bv[v] = lanes(v) == kLanes ? load(b + v * kLanes)
                                  : load(b + v * kLanes, tail);
     }
     for (std::size_t r = 0; r < R; ++r) {
-      const Vec av = splat(a[r * g.a_row]);
+      Vec av;
+      if constexpr (kMode == Rows::kA) {
+        av = splat(a_rows[r][p]);
+      } else {
+        av = splat(a[r * g.a_row]);
+      }
       for (std::size_t v = 0; v < V; ++v) {
         acc[r][v] += av * bv[v];
       }
+    }
+    if constexpr (kMode != Rows::kA) {
+      a += g.a_col;
+    }
+    if constexpr (kMode != Rows::kB) {
+      b += g.ldb;
     }
   }
   for (std::size_t r = 0; r < R; ++r) {
@@ -297,43 +329,44 @@ void tile(const Gemm& g, std::size_t i0, std::size_t j0, std::size_t tail) {
 }
 
 /// The final m mod kRows rows of one column block.
-template <std::size_t R, std::size_t V, bool kPartial>
+template <Rows kMode, std::size_t R, std::size_t V, bool kPartial>
 void edge_rows(const Gemm& g, std::size_t rows, std::size_t i0,
                std::size_t j0, std::size_t tail) {
   if constexpr (R > 0) {
     if (rows == R) {
-      tile<R, V, kPartial>(g, i0, j0, tail);
+      tile<kMode, R, V, kPartial>(g, i0, j0, tail);
     } else {
-      edge_rows<R - 1, V, kPartial>(g, rows, i0, j0, tail);
+      edge_rows<kMode, R - 1, V, kPartial>(g, rows, i0, j0, tail);
     }
   }
 }
 
-template <std::size_t V, bool kPartial>
+template <Rows kMode, std::size_t V, bool kPartial>
 void column_block(const Gemm& g, std::size_t m, std::size_t j0,
                   std::size_t tail) {
   std::size_t i0 = 0;
   for (; i0 + kRows <= m; i0 += kRows) {
-    tile<kRows, V, kPartial>(g, i0, j0, tail);
+    tile<kMode, kRows, V, kPartial>(g, i0, j0, tail);
   }
-  edge_rows<kRows - 1, V, kPartial>(g, m - i0, i0, j0, tail);
+  edge_rows<kMode, kRows - 1, V, kPartial>(g, m - i0, i0, j0, tail);
 }
 
+template <Rows kMode = Rows::kNone>
 void gemm(const Gemm& g, std::size_t m, std::size_t n) {
   // Column blocks outermost: the k×(2·kLanes) panel of B stays in L1 while
   // every row tile streams past it.
   constexpr std::size_t kWide = 2 * kLanes;
   std::size_t j0 = 0;
   for (; j0 + kWide <= n; j0 += kWide) {
-    column_block<2, false>(g, m, j0, 0);
+    column_block<kMode, 2, false>(g, m, j0, 0);
   }
   const std::size_t rest = n - j0;
   if (rest > kLanes) {
-    column_block<2, true>(g, m, j0, rest - kLanes);
+    column_block<kMode, 2, true>(g, m, j0, rest - kLanes);
   } else if (rest == kLanes) {
-    column_block<1, false>(g, m, j0, 0);
+    column_block<kMode, 1, false>(g, m, j0, 0);
   } else if (rest > 0) {
-    column_block<1, true>(g, m, j0, rest);
+    column_block<kMode, 1, true>(g, m, j0, rest);
   }
 }
 
@@ -378,7 +411,9 @@ void matmul(std::span<const float> a, std::span<const float> b,
             float beta) {
   check_gemm_extents("matmul", a.size(), b.size(), c.size(), m, k, n);
   const bool accumulate = apply_beta(c, beta);
-  gemm({a.data(), k, 1, b.data(), n, c.data(), n, k, accumulate}, m, n);
+  gemm({.a = a.data(), .a_row = k, .a_col = 1, .b = b.data(), .ldb = n,
+        .c = c.data(), .ldc = n, .k = k, .accumulate = accumulate},
+       m, n);
 }
 
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
@@ -386,7 +421,9 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::size_t n, float beta) {
   check_gemm_extents("matmul_at_b", a.size(), b.size(), c.size(), m, k, n);
   const bool accumulate = apply_beta(c, beta);
-  gemm({a.data(), 1, m, b.data(), n, c.data(), n, k, accumulate}, m, n);
+  gemm({.a = a.data(), .a_row = 1, .a_col = m, .b = b.data(), .ldb = n,
+        .c = c.data(), .ldc = n, .k = k, .accumulate = accumulate},
+       m, n);
 }
 
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
@@ -397,7 +434,34 @@ void matmul_a_bt(std::span<const float> a, std::span<const float> b,
   // the O(m·k·n) product.
   transpose(b, n, k, bt);
   const bool accumulate = apply_beta(c, beta);
-  gemm({a.data(), k, 1, bt.data(), n, c.data(), n, k, accumulate}, m, n);
+  gemm({.a = a.data(), .a_row = k, .a_col = 1, .b = bt.data(), .ldb = n,
+        .c = c.data(), .ldc = n, .k = k, .accumulate = accumulate},
+       m, n);
+}
+
+void matmul_b_rows(std::span<const float> a,
+                   std::span<const float* const> b_rows, std::span<float> c,
+                   std::size_t m, std::size_t k, std::size_t n, float beta) {
+  MARSIT_CHECK(a.size() == m * k) << "matmul_b_rows: a extent";
+  MARSIT_CHECK(b_rows.size() == k) << "matmul_b_rows: b row count";
+  MARSIT_CHECK(c.size() == m * n) << "matmul_b_rows: c extent";
+  const bool accumulate = apply_beta(c, beta);
+  gemm<Rows::kB>({.a = a.data(), .a_row = k, .a_col = 1,
+                  .b_rows = b_rows.data(), .c = c.data(), .ldc = n, .k = k,
+                  .accumulate = accumulate},
+                 m, n);
+}
+
+void matmul_a_rows(std::span<const float* const> a_rows,
+                   std::span<const float> b, std::span<float> c,
+                   std::size_t m, std::size_t k, std::size_t n, float beta) {
+  MARSIT_CHECK(a_rows.size() == m) << "matmul_a_rows: a row count";
+  MARSIT_CHECK(b.size() == k * n) << "matmul_a_rows: b extent";
+  MARSIT_CHECK(c.size() == m * n) << "matmul_a_rows: c extent";
+  const bool accumulate = apply_beta(c, beta);
+  gemm<Rows::kA>({.a_rows = a_rows.data(), .b = b.data(), .ldb = n,
+                  .c = c.data(), .ldc = n, .k = k, .accumulate = accumulate},
+                 m, n);
 }
 
 namespace {

@@ -95,6 +95,22 @@ void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, std::span<float> bt, float beta = 0.0f);
 
+// Row-table forms: one operand is addressed through a table of row pointers,
+// so rows may overlap or sit anywhere in memory (Conv2d's implicit GEMM reads
+// every tap of a padded input image this way).  Same kernel, same contract.
+
+/// c = a(m×k) · B + beta·c, where row p of B (k×n) is b_rows[p][0, n).
+void matmul_b_rows(std::span<const float> a,
+                   std::span<const float* const> b_rows, std::span<float> c,
+                   std::size_t m, std::size_t k, std::size_t n,
+                   float beta = 0.0f);
+
+/// c = A · b(k×n) + beta·c, where row i of A (m×k) is a_rows[i][0, k).
+void matmul_a_rows(std::span<const float* const> a_rows,
+                   std::span<const float> b, std::span<float> c,
+                   std::size_t m, std::size_t k, std::size_t n,
+                   float beta = 0.0f);
+
 // Reference twins: the plain axpy-form loops, which skip zero a terms, that
 // the kernel must reproduce bit-for-bit.  Only tests and bench/micro_kernels
 // call them.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -285,6 +286,71 @@ bool same_bits(std::span<const float> x, std::span<const float> y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
+/// Runs `conv` forward at `batch` on fresh masked inputs — and backward too
+/// when `train` — and memcmps every output against the oracle composition.
+/// want_dw/want_db carry the oracle's gradient across calls, since the layer
+/// accumulates onto its gradients.
+void expect_step_matches_oracle(Conv2d& conv, const Geometry3& g,
+                                std::size_t batch, bool train, Rng& rng,
+                                std::vector<float>& want_dw,
+                                std::vector<float>& want_db,
+                                const std::string& label) {
+  const ImageDims in = g.in;
+  const std::size_t oc = g.out.channels;
+  const std::size_t patch = in.channels * g.k * g.k;
+  const std::size_t out_plane = g.out.height * g.out.width;
+  const std::size_t weight_count = oc * patch;
+  const auto params = conv.params();
+  const std::span<const float> weights = params.subspan(0, weight_count);
+
+  const std::vector<float> x = masked_normal(batch * in.size(), rng);
+  const std::vector<float> dy = masked_normal(batch * conv.out_size(), rng);
+  std::vector<float> y(dy.size()), dx(x.size());
+  conv.forward({x.data(), x.size()}, batch, {y.data(), y.size()});
+  if (train) {
+    conv.backward({dy.data(), dy.size()}, batch, {dx.data(), dx.size()});
+  }
+
+  std::vector<float> want_y(y.size()), want_dx(x.size(), 0.0f);
+  std::vector<float> cols(patch * out_plane), dcols(patch * out_plane);
+  for (std::size_t n = 0; n < batch; ++n) {
+    oracle_im2col(x.data() + n * in.size(), cols.data(), g);
+    const std::span<float> y_n{want_y.data() + n * conv.out_size(),
+                               conv.out_size()};
+    matmul_reference(weights, cols, y_n, oc, patch, out_plane);
+    for (std::size_t o = 0; o < oc; ++o) {
+      for (std::size_t q = 0; q < out_plane; ++q) {
+        y_n[o * out_plane + q] += params[weight_count + o];
+      }
+    }
+    if (!train) {
+      continue;
+    }
+
+    const std::span<const float> dy_n{dy.data() + n * conv.out_size(),
+                                      conv.out_size()};
+    for (std::size_t o = 0; o < oc; ++o) {
+      double acc = 0.0;
+      for (std::size_t q = 0; q < out_plane; ++q) {
+        acc += dy_n[o * out_plane + q];
+      }
+      want_db[o] += static_cast<float>(acc);
+    }
+    matmul_a_bt_reference(dy_n, cols, want_dw, oc, out_plane, patch,
+                          /*beta=*/1.0f);
+    matmul_at_b_reference(weights, dy_n, dcols, patch, oc, out_plane);
+    oracle_col2im(dcols.data(), want_dx.data() + n * in.size(), g);
+  }
+  EXPECT_TRUE(same_bits(y, want_y)) << "forward, " << label;
+  if (train) {
+    EXPECT_TRUE(same_bits(dx, want_dx)) << "dx, " << label;
+  }
+  EXPECT_TRUE(same_bits(conv.grads().subspan(0, weight_count), want_dw))
+      << "dW, " << label;
+  EXPECT_TRUE(same_bits(conv.grads().subspan(weight_count), want_db))
+      << "db, " << label;
+}
+
 TEST_P(ConvSweepTest, BitExactWithReferenceComposition) {
   const auto [c, h, w, oc, k, s, p] = GetParam();
   const ImageDims in{c, h, w};
@@ -292,60 +358,42 @@ TEST_P(ConvSweepTest, BitExactWithReferenceComposition) {
   Rng rng(4000 + c * 31 + h * 7 + k);
   conv.init(rng);
   // A non-zero bias so the forward's bias add is covered too.
-  auto params = conv.params();
   const std::size_t weight_count = oc * c * k * k;
-  fill_normal(params.subspan(weight_count), rng, 0.0f, 0.5f);
+  fill_normal(conv.params().subspan(weight_count), rng, 0.0f, 0.5f);
   const Geometry3 g{in, conv.out_dims(), k, s, p};
-  const std::size_t patch = c * k * k;
-  const std::size_t out_plane = g.out.height * g.out.width;
   const std::size_t batch = 3;
-  const std::span<const float> weights = params.subspan(0, weight_count);
 
   std::vector<float> want_dw(weight_count, 0.0f), want_db(oc, 0.0f);
   conv.zero_grads();
   // Two steps without zeroing in between: the second accumulates onto
   // non-zero gradients, as local steps and multi-batch callers do.
   for (int step = 0; step < 2; ++step) {
-    const std::vector<float> x = masked_normal(batch * in.size(), rng);
-    const std::vector<float> dy = masked_normal(batch * conv.out_size(), rng);
-    std::vector<float> y(dy.size()), dx(x.size());
-    conv.forward({x.data(), x.size()}, batch, {y.data(), y.size()});
-    conv.backward({dy.data(), dy.size()}, batch, {dx.data(), dx.size()});
-
-    std::vector<float> want_y(y.size()), want_dx(x.size(), 0.0f);
-    std::vector<float> cols(patch * out_plane), dcols(patch * out_plane);
-    for (std::size_t n = 0; n < batch; ++n) {
-      oracle_im2col(x.data() + n * in.size(), cols.data(), g);
-      const std::span<float> y_n{want_y.data() + n * conv.out_size(),
-                                 conv.out_size()};
-      matmul_reference(weights, cols, y_n, oc, patch, out_plane);
-      for (std::size_t o = 0; o < oc; ++o) {
-        for (std::size_t q = 0; q < out_plane; ++q) {
-          y_n[o * out_plane + q] += params[weight_count + o];
-        }
-      }
-
-      const std::span<const float> dy_n{dy.data() + n * conv.out_size(),
-                                        conv.out_size()};
-      for (std::size_t o = 0; o < oc; ++o) {
-        double acc = 0.0;
-        for (std::size_t q = 0; q < out_plane; ++q) {
-          acc += dy_n[o * out_plane + q];
-        }
-        want_db[o] += static_cast<float>(acc);
-      }
-      matmul_a_bt_reference(dy_n, cols, want_dw, oc, out_plane, patch,
-                            /*beta=*/1.0f);
-      matmul_at_b_reference(weights, dy_n, dcols, patch, oc, out_plane);
-      oracle_col2im(dcols.data(), want_dx.data() + n * in.size(), g);
-    }
-    EXPECT_TRUE(same_bits(y, want_y)) << "forward, step " << step;
-    EXPECT_TRUE(same_bits(dx, want_dx)) << "dx, step " << step;
-    EXPECT_TRUE(same_bits(conv.grads().subspan(0, weight_count), want_dw))
-        << "dW, step " << step;
-    EXPECT_TRUE(same_bits(conv.grads().subspan(weight_count), want_db))
-        << "db, step " << step;
+    expect_step_matches_oracle(conv, g, batch, /*train=*/true, rng, want_dw,
+                               want_db, "step " + std::to_string(step));
   }
+}
+
+TEST_P(ConvSweepTest, BitExactAcrossBatchChange) {
+  // The trainer's pattern: train at the worker batch, run a larger eval
+  // forward, train again.  The cached input is resized in between, and the
+  // second training step must see none of the eval batch.
+  const auto [c, h, w, oc, k, s, p] = GetParam();
+  const ImageDims in{c, h, w};
+  Conv2d conv(in, oc, k, s, p);
+  Rng rng(5000 + c * 31 + h * 7 + k);
+  conv.init(rng);
+  const std::size_t weight_count = oc * c * k * k;
+  fill_normal(conv.params().subspan(weight_count), rng, 0.0f, 0.5f);
+  const Geometry3 g{in, conv.out_dims(), k, s, p};
+
+  std::vector<float> want_dw(weight_count, 0.0f), want_db(oc, 0.0f);
+  conv.zero_grads();
+  expect_step_matches_oracle(conv, g, 3, /*train=*/true, rng, want_dw, want_db,
+                             "train at batch 3");
+  expect_step_matches_oracle(conv, g, 7, /*train=*/false, rng, want_dw,
+                             want_db, "eval at batch 7");
+  expect_step_matches_oracle(conv, g, 3, /*train=*/true, rng, want_dw, want_db,
+                             "train at batch 3 again");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -359,6 +407,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{4, 4, 4, 4, 3, 1, 1},
                       Geometry{2, 9, 9, 2, 3, 3, 1},
                       Geometry{1, 1, 1, 1, 5, 1, 2},
+                      // Non-square stride-1 "same" and a 1×1 p0 conv.
+                      Geometry{2, 7, 5, 3, 3, 1, 1},
+                      Geometry{3, 5, 6, 4, 1, 1, 0},
                       // ResNet20-mini: stem, stage-1 block, the two
                       // downsampling convs and a stage-3 block.
                       Geometry{3, 16, 16, 8, 3, 1, 1},

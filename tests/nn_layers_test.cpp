@@ -117,6 +117,32 @@ TEST(Conv2dTest, KernelLargerThanInputThrows) {
   EXPECT_THROW(Conv2d({1, 2, 2}, 1, 5, 1, 0), CheckError);
 }
 
+TEST(Conv2dTest, BackwardNeedsMatchingForward) {
+  // Stride 1 caches a padded input, stride 2 an im2col image; both must
+  // refuse a backward with no forward before it or at another batch size.
+  for (const std::size_t stride : {1, 2}) {
+    Conv2d layer({2, 6, 6}, 3, 3, stride, 1);
+    const std::size_t batch = 2;
+    std::vector<float> x(batch * layer.in_size(), 1.0f);
+    std::vector<float> y(batch * layer.out_size());
+    std::vector<float> dy(y.size(), 1.0f), dx(x.size());
+    EXPECT_THROW(
+        layer.backward({dy.data(), dy.size()}, batch, {dx.data(), dx.size()}),
+        CheckError)
+        << "stride " << stride;
+
+    layer.forward({x.data(), x.size()}, batch, {y.data(), y.size()});
+    const std::size_t other = 1;
+    EXPECT_THROW(layer.backward({dy.data(), other * layer.out_size()}, other,
+                                {dx.data(), other * layer.in_size()}),
+                 CheckError)
+        << "stride " << stride;
+    EXPECT_NO_THROW(
+        layer.backward({dy.data(), dy.size()}, batch, {dx.data(), dx.size()}))
+        << "stride " << stride;
+  }
+}
+
 TEST(MaxPoolTest, PicksMaxima) {
   MaxPool2d layer({1, 2, 4}, 2);
   std::vector<float> x{1, 5, 2, 0,

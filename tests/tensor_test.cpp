@@ -223,9 +223,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, 32, 8), std::make_tuple(33, 17, 9)));
 
 // Bit-exactness of the register-blocked kernel against the plain loops it
-// replaced: every entry point must reproduce its *_reference twin to the
-// last bit (memcmp), for every tile edge and with ±0 in a — the ReLU-masked
-// operands the layers feed it.
+// replaced: every entry point, the row-table forms included, must reproduce
+// its *_reference twin to the last bit (memcmp), for every tile edge and
+// with ±0 in a — the ReLU-masked operands the layers feed it.
 struct GemmShape {
   std::size_t m;
   std::size_t k;
@@ -293,16 +293,58 @@ void expect_bit_exact(const GemmShape& shape, float beta, std::uint64_t seed) {
   matmul_a_bt_reference(a_span, b_span, {want.data(), want.size()}, m, k, n,
                         beta);
   EXPECT_TRUE(same_bits(got, want)) << "matmul_a_bt " << where.str();
+
+  // Row-table forms: rows overlap, as the taps of a padded image do — row r
+  // starts half a row after row r − 1 in one shared pool.  A keeps its ±0.
+  const auto overlapping_rows = [](const std::vector<float>& pool,
+                                   std::size_t rows, std::size_t step) {
+    std::vector<const float*> table(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      table[r] = pool.data() + r * step;
+    }
+    return table;
+  };
+  const auto materialize = [](const std::vector<const float*>& table,
+                              std::size_t cols) {
+    std::vector<float> dense;
+    for (const float* row : table) {
+      dense.insert(dense.end(), row, row + cols);
+    }
+    return dense;
+  };
+
+  const std::size_t b_step = n / 2 + 1;
+  const std::vector<float> b_pool = normal_values((k - 1) * b_step + n, rng);
+  const std::vector<const float*> b_rows = overlapping_rows(b_pool, k, b_step);
+  const std::vector<float> b_dense = materialize(b_rows, n);
+  got = c0;
+  want = c0;
+  matmul_b_rows(a_span, b_rows, {got.data(), got.size()}, m, k, n, beta);
+  matmul_reference(a_span, b_dense, {want.data(), want.size()}, m, k, n, beta);
+  EXPECT_TRUE(same_bits(got, want)) << "matmul_b_rows " << where.str();
+
+  const std::size_t a_step = k / 2 + 1;
+  const std::vector<float> a_pool = masked_values((m - 1) * a_step + k, rng);
+  const std::vector<const float*> a_rows = overlapping_rows(a_pool, m, a_step);
+  const std::vector<float> a_dense = materialize(a_rows, k);
+  got = c0;
+  want = c0;
+  matmul_a_rows(a_rows, b_span, {got.data(), got.size()}, m, k, n, beta);
+  matmul_reference(a_dense, b_span, {want.data(), want.size()}, m, k, n, beta);
+  EXPECT_TRUE(same_bits(got, want)) << "matmul_a_rows " << where.str();
 }
 
 class MatmulBitExactTest : public ::testing::TestWithParam<float> {};
 
 TEST_P(MatmulBitExactTest, ModelShapes) {
-  // Conv2d's products on ResNet20-mini (forward, dW, dcols) and the text
+  // Conv2d's products on ResNet20-mini (forward, dW, dcols; the stride-1
+  // forward and dW over 16×16 and 4×4 planes' wide pixels) and the text
   // classifier's Linear head, plus odd sizes on every axis.
-  const GemmShape shapes[] = {{1, 1, 1},    {33, 17, 9},  {8, 72, 256},
-                              {288, 16, 32}, {27, 256, 8}, {32, 64, 2},
-                              {16, 144, 64}, {72, 8, 256}, {32, 288, 16}};
+  const GemmShape shapes[] = {{1, 1, 1},     {33, 17, 9},   {8, 72, 256},
+                              {288, 16, 32}, {27, 256, 8},  {32, 64, 2},
+                              {16, 144, 64}, {72, 8, 256},  {32, 288, 16},
+                              {8, 72, 286},  {72, 286, 8},  {32, 288, 22},
+                              {288, 22, 32}};
   std::uint64_t seed = 100;
   for (const GemmShape& shape : shapes) {
     expect_bit_exact(shape, GetParam(), ++seed);
@@ -346,6 +388,15 @@ TEST(OpsTest, MatmulExtentChecks) {
   std::vector<float> a(6), b(6), c(5);
   EXPECT_THROW(matmul({a.data(), 6}, {b.data(), 6}, {c.data(), 5}, 2, 3, 2),
                CheckError);
+  // Row tables must hold one pointer per row of their operand.
+  std::vector<float> c4(4);
+  const std::vector<const float*> two_rows{b.data(), b.data() + 2};
+  EXPECT_THROW(matmul_b_rows({a.data(), 6}, two_rows, {c4.data(), 4}, 2, 3, 2),
+               CheckError);
+  EXPECT_THROW(matmul_a_rows(two_rows, {b.data(), 6}, {c.data(), 5}, 2, 3, 2),
+               CheckError);
+  EXPECT_NO_THROW(
+      matmul_a_rows(two_rows, {b.data(), 6}, {c4.data(), 4}, 2, 3, 2));
 }
 
 TEST(OpsTest, CopyInto) {
