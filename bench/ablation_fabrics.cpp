@@ -35,32 +35,34 @@ int main(int argc, char** argv) {
       {"Marsit 1-bit", marsit_wire(model)},
   };
 
+  // completion_seconds of one synchronization per (format, fabric).
+  const auto ring = [&](std::size_t size, const WireFormat& wire) {
+    return price_allreduce(MarParadigm::kRing, m, size, wire, model)
+        .completion_seconds;
+  };
+  const auto torus = [&](std::size_t size, const WireFormat& wire) {
+    return price_allreduce(MarParadigm::kTorus2d, m, size, wire, model, 8)
+        .completion_seconds;
+  };
+  const auto tree = [&](std::size_t size, const WireFormat& wire) {
+    return price_allreduce(MarParadigm::kTree, m, size, wire, model)
+        .completion_seconds;
+  };
+
+  bool tree_loses_large = true;
   TextTable table({"wire format", "ring x32", "torus 4x8", "tree x32",
                    "PS x32"});
   for (const Format& format : formats) {
-    std::vector<std::string> row = {format.label};
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          ring_allreduce_timing(m, d, format.wire, net).completion_seconds));
-    }
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          torus_allreduce_timing(4, 8, d, format.wire, net)
-              .completion_seconds));
-    }
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          tree_allreduce_timing(m, d, format.wire, net).completion_seconds));
-    }
-    {
-      NetworkSim net(m + 1, model);
-      row.push_back(format_duration(
-          ps_allreduce_timing(m, d, format.wire, net).completion_seconds));
-    }
-    table.add_row(std::move(row));
+    NetworkSim ps_net(m + 1, model);
+    const double ps =
+        ps_allreduce_timing(m, d, format.wire, ps_net).completion_seconds;
+    const double times[] = {ring(d, format.wire), torus(d, format.wire),
+                            tree(d, format.wire)};
+    table.add_row({format.label, format_duration(times[0]),
+                   format_duration(times[1]), format_duration(times[2]),
+                   format_duration(ps)});
+    tree_loses_large =
+        tree_loses_large && times[0] < times[2] && times[1] < times[2];
   }
   table.print(std::cout);
 
@@ -68,31 +70,28 @@ int main(int argc, char** argv) {
   std::cout << "\nlatency-bound regime (64k parameters):\n\n";
   TextTable small({"wire format", "ring x32", "torus 4x8", "tree x32"});
   const std::size_t small_d = 1 << 16;
+  bool tree_wins_small = true;
   for (const Format& format : formats) {
-    std::vector<std::string> row = {format.label};
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          ring_allreduce_timing(m, small_d, format.wire, net)
-              .completion_seconds));
+    const double times[] = {ring(small_d, format.wire),
+                            torus(small_d, format.wire),
+                            tree(small_d, format.wire)};
+    small.add_row({format.label, format_duration(times[0]),
+                   format_duration(times[1]), format_duration(times[2])});
+    // A float32 tree message is the whole 256 KB vector, which is
+    // bandwidth-bound even here, so only the compressed formats are in the
+    // latency-bound regime this table probes.
+    if (format.label != "float32") {
+      tree_wins_small = tree_wins_small && times[2] < times[0];
     }
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          torus_allreduce_timing(4, 8, small_d, format.wire, net)
-              .completion_seconds));
-    }
-    {
-      NetworkSim net(m, model);
-      row.push_back(format_duration(
-          tree_allreduce_timing(m, small_d, format.wire, net)
-              .completion_seconds));
-    }
-    small.add_row(std::move(row));
   }
   small.print(std::cout);
-  std::cout << "\nshape check: at 25M params the ring/torus rows beat the "
-               "tree (bandwidth\nbound); at 64k params the tree's 2 log2(M) "
-               "hops beat the ring's 2(M-1).\n";
-  return 0;
+  std::cout << "\n";
+  ShapeCheck check;
+  check.expect(tree_loses_large,
+               "at 25M params the ring and torus beat the tree (bandwidth "
+               "bound), in every wire format");
+  check.expect(tree_wins_small,
+               "at 64k params the tree's 2 log2(M) hops beat the ring's "
+               "2(M-1) in the compressed wire formats");
+  return check.exit_code();
 }

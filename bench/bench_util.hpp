@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "collectives/timing.hpp"
+#include "core/schedule.hpp"
 #include "core/sync_strategy.hpp"
 #include "data/dataset.hpp"
 #include "nn/sequential.hpp"
@@ -98,5 +100,33 @@ inline std::size_t arg_override(int argc, char** argv, const std::string& key,
 }
 
 inline void quiet_logs() { set_log_level(LogLevel::kWarning); }
+
+/// One all-reduce of `d` elements on an idle fabric of `members` nodes,
+/// priced by replaying the paradigm's reduce-scatter schedule (a torus has
+/// `torus_cols` columns).
+inline CollectiveTiming price_allreduce(MarParadigm paradigm,
+                                        std::size_t members, std::size_t d,
+                                        const WireFormat& wire,
+                                        const CostModel& model,
+                                        std::size_t torus_cols = 0) {
+  NetworkSim net(members, model);
+  return price_schedule(
+      reduce_scatter_schedule(paradigm, members, torus_cols, d), wire, net);
+}
+
+/// The paper-shape claims a bench checks against its own rows: each claim
+/// prints with its verdict, and the bench exits non-zero if any fails.
+class ShapeCheck {
+ public:
+  void expect(bool holds, const std::string& claim) {
+    std::cout << "shape check: " << claim << " — "
+              << (holds ? "holds" : "FAILS") << "\n";
+    all_hold_ = all_hold_ && holds;
+  }
+  int exit_code() const { return all_hold_ ? 0 : 1; }
+
+ private:
+  bool all_hold_ = true;
+};
 
 }  // namespace marsit::bench

@@ -46,12 +46,10 @@ int main(int argc, char** argv) {
     rows.push_back({"PSGD (PS)", ps_allreduce_timing(
                                      workers, d, full_precision_wire(), net)});
   }
-  {
-    NetworkSim net(workers, model);
-    rows.push_back({"PSGD (RAR)", ring_allreduce_timing(
-                                      workers, d, full_precision_wire(),
-                                      net)});
-  }
+  const auto ring = [&](const WireFormat& wire) {
+    return price_allreduce(MarParadigm::kRing, workers, d, wire, model);
+  };
+  rows.push_back({"PSGD (RAR)", ring(full_precision_wire())});
   {
     NetworkSim net(workers + 1, model);
     WireFormat ssdm_ps;
@@ -67,23 +65,9 @@ int main(int argc, char** argv) {
     rows.push_back({"SSDM (PS)",
                     ps_allreduce_timing(workers, d, ssdm_ps, net)});
   }
-  {
-    NetworkSim net(workers, model);
-    rows.push_back({"SSDM (MAR)", ring_allreduce_timing(
-                                      workers, d, sign_sum_wire(model, 1),
-                                      net)});
-  }
-  {
-    NetworkSim net(workers, model);
-    rows.push_back({"Cascading (RAR)",
-                    ring_allreduce_timing(workers, d, cascading_wire(model),
-                                          net)});
-  }
-  {
-    NetworkSim net(workers, model);
-    rows.push_back({"Marsit (RAR)", ring_allreduce_timing(
-                                        workers, d, marsit_wire(model), net)});
-  }
+  rows.push_back({"SSDM (MAR)", ring(sign_sum_wire(model, 1))});
+  rows.push_back({"Cascading (RAR)", ring(cascading_wire(model))});
+  rows.push_back({"Marsit (RAR)", ring(marsit_wire(model))});
 
   TextTable table({"method", "compute", "compression", "communication",
                    "iteration total", "wire bits/worker"});
@@ -96,8 +80,27 @@ int main(int argc, char** argv) {
                    format_bytes(row.timing.bits_per_worker / 8.0)});
   }
   table.print(std::cout);
-  std::cout << "\nshape check: PSGD-RAR < PSGD-PS; SSDM-MAR transmission > "
-               "SSDM-PS;\ncascading's compression bar dominates; Marsit has "
-               "the smallest total.\n";
-  return 0;
+
+  // rows: PSGD (PS), PSGD (RAR), SSDM (PS), SSDM (MAR), Cascading, Marsit.
+  const auto total = [&](std::size_t i) {
+    return compute_seconds + rows[i].timing.completion_seconds;
+  };
+  const CollectiveTiming& cascading = rows[4].timing;
+  bool marsit_smallest = true;
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    marsit_smallest = marsit_smallest && total(5) < total(i);
+  }
+  std::cout << "\n";
+  ShapeCheck check;
+  check.expect(total(1) < total(0), "PSGD-RAR total < PSGD-PS total");
+  check.expect(rows[3].timing.communication_seconds() >
+                   rows[2].timing.communication_seconds(),
+               "SSDM-MAR transmission > SSDM-PS transmission");
+  check.expect(cascading.compression_seconds_per_worker() >
+                       cascading.communication_seconds() &&
+                   cascading.compression_seconds_per_worker() >
+                       compute_seconds,
+               "cascading's compression bar dominates its iteration");
+  check.expect(marsit_smallest, "Marsit has the smallest total");
+  return check.exit_code();
 }

@@ -48,7 +48,7 @@ std::vector<double> measured_elias_bits(std::size_t workers, Rng& rng) {
 int main(int argc, char** argv) {
   quiet_logs();
   const std::size_t workers = 32;
-  const std::size_t rows = 4, cols = 8;
+  const std::size_t cols = 8;  // a 4×8 torus
   const std::size_t d = arg_override(argc, argv, "--params", 23u * 1000 * 1000);
   const CostModel model;
 
@@ -108,30 +108,28 @@ int main(int argc, char** argv) {
     json->begin_array();
   }
 
+  // Timing per (paradigm, method), in table order: RAR rows, then TAR.
+  std::vector<CollectiveTiming> timings;
   TextTable table({"paradigm", "method", "compute", "compression",
                    "communication", "round total"});
   for (const char* paradigm : {"RAR", "TAR"}) {
+    const auto price = [&](const WireFormat& wire) {
+      return std::string(paradigm) == "RAR"
+                 ? price_allreduce(MarParadigm::kRing, workers, d, wire,
+                                   model)
+                 : price_allreduce(MarParadigm::kTorus2d, workers, d, wire,
+                                   model, cols);
+    };
     for (const MethodWire& method : methods) {
-      NetworkSim net(workers, model);
-      CollectiveTiming timing;
-      if (std::string(paradigm) == "RAR") {
-        timing = ring_allreduce_timing(workers, d, method.wire, net);
-      } else {
-        timing = torus_allreduce_timing(rows, cols, d, method.wire, net);
-      }
+      CollectiveTiming timing = price(method.wire);
       // Marsit-100 amortizes one 32-bit round per 100: add 1 % of the
       // full-precision round's extra cost.
       if (method.label == "Marsit-100") {
-        NetworkSim fp_net(workers, model);
-        const CollectiveTiming fp =
-            std::string(paradigm) == "RAR"
-                ? ring_allreduce_timing(workers, d, full_precision_wire(),
-                                        fp_net)
-                : torus_allreduce_timing(rows, cols, d,
-                                         full_precision_wire(), fp_net);
+        const CollectiveTiming fp = price(full_precision_wire());
         timing.completion_seconds +=
             (fp.completion_seconds - timing.completion_seconds) / 100.0;
       }
+      timings.push_back(timing);
       table.add_row({paradigm, method.label,
                      format_duration(compute_seconds),
                      format_duration(timing.compression_seconds_per_worker()),
@@ -160,8 +158,55 @@ int main(int argc, char** argv) {
     std::cout << "\nJSON breakdown written to " << out_path << "\n";
   }
   table.print(std::cout);
-  std::cout << "\nshape check: each method's communication bar shrinks from "
-               "RAR to TAR;\nMarsit rows have the shortest communication and "
-               "a small compression bar.\n";
-  return 0;
+
+  const std::size_t n = methods.size();
+  const auto is_marsit = [&](std::size_t i) {
+    return methods[i].label.rfind("Marsit", 0) == 0;
+  };
+  bool rar_comm_dominates = true;
+  bool tar_faster = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CollectiveTiming& rar = timings[i];
+    rar_comm_dominates =
+        rar_comm_dominates &&
+        rar.communication_seconds() > rar.compression_seconds_per_worker() &&
+        rar.communication_seconds() > compute_seconds;
+    tar_faster = tar_faster && timings[n + i].communication_seconds() <
+                                   rar.communication_seconds();
+  }
+  // Every Marsit row against every other method's row, per paradigm.
+  bool marsit_comm_smallest = true;
+  bool marsit_compression_small = true;
+  for (const std::size_t base : {std::size_t{0}, n}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!is_marsit(i) || is_marsit(j)) {
+          continue;
+        }
+        const CollectiveTiming& marsit = timings[base + i];
+        const CollectiveTiming& other = timings[base + j];
+        marsit_comm_smallest =
+            marsit_comm_smallest &&
+            marsit.communication_seconds() < other.communication_seconds();
+        if (other.compression_seconds_per_worker() > 0.0) {
+          marsit_compression_small =
+              marsit_compression_small &&
+              marsit.compression_seconds_per_worker() <
+                  other.compression_seconds_per_worker();
+        }
+      }
+    }
+  }
+  std::cout << "\n";
+  ShapeCheck check;
+  check.expect(rar_comm_dominates,
+               "communication is the largest bar of every RAR round");
+  check.expect(tar_faster,
+               "each method's communication bar shrinks from RAR to TAR");
+  check.expect(marsit_comm_smallest,
+               "Marsit rows communicate less than every other method");
+  check.expect(marsit_compression_small,
+               "Marsit's compression bar is smaller than every compressing "
+               "baseline's");
+  return check.exit_code();
 }

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "collectives/timing.hpp"
+#include "core/schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "net/cost_model.hpp"
 #include "net/network_sim.hpp"
 #include "parallel/shard.hpp"
@@ -115,8 +117,9 @@ SweepRow price_round(std::size_t d, std::size_t chunk_elements,
       [workers](std::size_t /*chunk_index*/, std::size_t elements,
                 const WireFormat& wire, NetworkSim& chunk_net,
                 double start_time) {
-        return ring_allreduce_timing(workers, elements, wire, chunk_net,
-                                     start_time);
+        return price_schedule(reduce_scatter_schedule(MarParadigm::kRing,
+                                                      workers, 0, elements),
+                              wire, chunk_net, start_time);
       },
       {ready.data(), ready.size()});
 

@@ -1,7 +1,7 @@
 // Example: using the lower-level building blocks directly — no trainer.
 //
 // Demonstrates (1) the ⊙ one-bit aggregation on raw sign vectors, (2) the
-// timing schedules for ring / torus / PS fabrics at a model size of your
+// α–β pricing of ring / torus / PS fabrics at a model size of your
 // choice, and (3) how to plug a custom wire format into the schedules —
 // everything an integrator needs to evaluate Marsit for their own cluster
 // shape before touching training code.
@@ -13,6 +13,8 @@
 #include "collectives/timing.hpp"
 #include "compress/sign_codec.hpp"
 #include "core/one_bit.hpp"
+#include "core/schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "obs/exporter.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -66,23 +68,23 @@ int main(int argc, char** argv) {
     table.add_row({fabric, format, format_duration(timing.completion_seconds),
                    format_bytes(timing.bits_per_worker / 8.0)});
   };
+  // Ring and torus rounds are priced by replaying their hop schedule on a
+  // simulated 32-node fabric; `cols` is the torus width (0 for a ring).
+  const auto price = [&](MarParadigm paradigm, std::size_t cols,
+                         const WireFormat& wire) {
+    NetworkSim net(32, model);
+    return price_schedule(reduce_scatter_schedule(paradigm, 32, cols, d),
+                          wire, net);
+  };
 
   for (const auto& [name, wire] :
        std::vector<std::pair<std::string, WireFormat>>{
            {"float32", full_precision_wire()},
            {"Marsit 1-bit", marsit_wire(model)}}) {
-    {
-      NetworkSim net(32, model);
-      add_row("ring x32", name, ring_allreduce_timing(32, d, wire, net));
-    }
-    {
-      NetworkSim net(32, model);
-      add_row("torus 4x8", name, torus_allreduce_timing(4, 8, d, wire, net));
-    }
-    {
-      NetworkSim net(33, model);
-      add_row("PS x32", name, ps_allreduce_timing(32, d, wire, net));
-    }
+    add_row("ring x32", name, price(MarParadigm::kRing, 0, wire));
+    add_row("torus 4x8", name, price(MarParadigm::kTorus2d, 8, wire));
+    NetworkSim ps_net(33, model);  // the last node is the server
+    add_row("PS x32", name, ps_allreduce_timing(32, d, wire, ps_net));
   }
   table.print(std::cout);
 
@@ -99,8 +101,7 @@ int main(int argc, char** argv) {
   int4.initial_pack_seconds_per_element = 1.0 / model.sign_pack_rate;
   int4.serial_seconds_per_element = 1.0 / model.sign_unpack_rate;
   int4.final_unpack_seconds_per_element = 1.0 / model.sign_unpack_rate;
-  NetworkSim net(32, model);
-  const CollectiveTiming timing = ring_allreduce_timing(32, d, int4, net);
+  const CollectiveTiming timing = price(MarParadigm::kRing, 0, int4);
   std::cout << "   ring x32 completion: "
             << format_duration(timing.completion_seconds) << ", "
             << format_bytes(timing.bits_per_worker / 8.0) << " per worker\n";

@@ -1,13 +1,18 @@
-// Timing schedules for the three synchronization paradigms the paper
-// evaluates: ring all-reduce (RAR), 2-D torus all-reduce (TAR), and the
-// parameter server (PS).
+// α–β pricing vocabulary: wire formats, the CollectiveTiming a pricer
+// returns, the parameter-server pricer and the pipelined composition.
 //
-// A schedule answers "how long does one synchronization of a D-element
+// A pricer answers "how long does one synchronization of a D-element
 // gradient take, and how many bits cross the wire" for a given *wire
 // format*.  The wire format abstracts what a method transmits per hop:
 // full-precision floats (PSGD), growing sign-sums (signSGD/EF/SSDM under
 // MAR), constant one-bit vectors (Marsit), or compressed segments with a
 // serial decompress-recompress stage (cascading compression).
+//
+// Ring, torus and tree rounds are priced by replaying their hop schedule
+// (price_schedule in core/schedule.hpp), so each hop order is written once.
+// The parameter server is priced here by hand: it models the paper's PS
+// baseline, a dedicated server node and M pushes, not the runtime PS
+// schedule, which puts the server on member 0 (DESIGN.md §5).
 //
 // The actual aggregation arithmetic runs separately on full vectors (see
 // aggregators.hpp and src/core): elementwise aggregation is invariant to how
@@ -23,7 +28,6 @@
 
 #include "net/cost_model.hpp"
 #include "net/network_sim.hpp"
-#include "net/topology.hpp"
 
 namespace marsit {
 
@@ -82,7 +86,7 @@ WireFormat marsit_wire(const CostModel& model);
 /// the full decompress-add-recompress on the critical path of every hop.
 WireFormat cascading_wire(const CostModel& model);
 
-// Schedules -------------------------------------------------------------------
+// Pricers ---------------------------------------------------------------------
 
 struct CollectiveTiming {
   /// Wall-clock (simulated) seconds from start to every worker holding the
@@ -157,20 +161,20 @@ struct ChunkStageTiming {
   double fold_end = 0.0;
 };
 
-/// Ring all-reduce: reduce-scatter (M−1 steps) + all-gather (M−1 steps) over
-/// M segments of ⌈D/M⌉ elements.  `start_time` is when every worker's
-/// payload is ready (gradient computed).
-CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                       const WireFormat& wire,
-                                       NetworkSim& net,
-                                       double start_time = 0.0);
+/// Snapshot of the simulator's retransmission counters when a pricer
+/// starts; record_into charges the collective what it burned since: the
+/// retransmitted bits and retries, and under a corruption plan one CRC
+/// footer per delivered message.
+class RetransBaseline {
+ public:
+  explicit RetransBaseline(const NetworkSim& net);
+  void record_into(CollectiveTiming& timing, const NetworkSim& net) const;
 
-/// 2-D torus all-reduce: row reduce-scatter, column all-reduce, row
-/// all-gather (Mikami et al.).  Workers = rows×cols.
-CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
-                                        std::size_t d, const WireFormat& wire,
-                                        NetworkSim& net,
-                                        double start_time = 0.0);
+ private:
+  double bytes_;
+  std::size_t count_;
+  std::size_t messages_;
+};
 
 /// Parameter server: M pushes serialized through the server ingress NIC,
 /// aggregation, M broadcasts serialized through its egress NIC.  The network
@@ -178,17 +182,6 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
 CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
                                      const WireFormat& wire, NetworkSim& net,
                                      double start_time = 0.0);
-
-/// Binomial-tree all-reduce (the paper's "can be easily extended to ...
-/// tree all-reduce"): ⌈log2 M⌉ reduce levels (node i+2^l sends its
-/// aggregate to node i) followed by ⌈log2 M⌉ broadcast levels.  Whole-vector
-/// messages — fewer, larger transfers than the ring: wins when α dominates,
-/// loses bandwidth-bound.  Reduce-level messages carry 2^l-contribution
-/// aggregates, so sign-sum payloads grow just like on the ring.
-CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                       const WireFormat& wire,
-                                       NetworkSim& net,
-                                       double start_time = 0.0);
 
 // Pipelined composition ------------------------------------------------------
 

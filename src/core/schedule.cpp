@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <string>
 
 #include "core/one_bit.hpp"
 #include "core/sync_strategy.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/validate.hpp"
 
 namespace marsit {
 
@@ -96,11 +100,10 @@ std::size_t reformed_torus_rows(std::size_t count, std::size_t cols) {
 }
 
 Schedule reduce_scatter_schedule(MarParadigm paradigm, std::size_t members,
-                                 std::size_t torus_cols,
-                                 std::size_t num_words) {
+                                 std::size_t torus_cols, std::size_t units) {
   MARSIT_CHECK(members > 0) << "schedule over zero members";
-  ScheduleBuilder b(members, num_words, sizeof(std::uint64_t));
-  const Segment whole{0, num_words};
+  ScheduleBuilder b(members, units, sizeof(std::uint64_t));
+  const Segment whole{0, units};
   const std::size_t rows = paradigm == MarParadigm::kTorus2d
                                ? reformed_torus_rows(members, torus_cols)
                                : 0;
@@ -135,6 +138,7 @@ Schedule reduce_scatter_schedule(MarParadigm paradigm, std::size_t members,
     b.schedule().finals.push_back({0, whole});
   } else if (rows > 0) {
     const std::size_t cols = torus_cols;
+    MARSIT_VALIDATE_CALL(validate::torus_shape(rows, cols, members));
     for (std::size_t r = 0; r < rows; ++r) {
       const FoldOp row_chain{r * cols, 0, 1, 1, true};
       b.ring_pass(ring_of(r * cols, cols, 1), whole, 0, 0, &row_chain);
@@ -145,12 +149,12 @@ Schedule reduce_scatter_schedule(MarParadigm paradigm, std::size_t members,
     for (std::size_t c = 0; c < cols; ++c) {
       const FoldOp col_chain{members + c * rows, 0, cols, cols, true};
       b.ring_pass(ring_of(c, rows, cols),
-                  segment_of(num_words, cols, (c + 1) % cols), 1, 0,
+                  segment_of(units, cols, (c + 1) % cols), 1, 0,
                   &col_chain);
     }
     for (std::size_t c = 0; c < cols; ++c) {
       b.ring_pass(ring_of(c, rows, cols),
-                  segment_of(num_words, cols, (c + 1) % cols), 2, 1);
+                  segment_of(units, cols, (c + 1) % cols), 2, 1);
     }
     for (std::size_t r = 0; r < rows; ++r) {
       b.ring_pass(ring_of(r * cols, cols, 1), whole, 3, 1);
@@ -219,6 +223,114 @@ void fold_schedule(const Schedule& schedule, std::vector<BitVector>& signs,
       std::copy(src.begin(), src.end(), words(0, owned.range).begin());
     }
   }
+}
+
+CollectiveTiming price_schedule(const Schedule& schedule,
+                                const WireFormat& wire, NetworkSim& net,
+                                double start_time) {
+  const std::size_t m = schedule.members;
+  MARSIT_CHECK(m >= 2) << "pricing a schedule needs >= 2 members";
+  MARSIT_CHECK(net.num_nodes() >= m) << "network smaller than member count";
+  MARSIT_CHECK(schedule.units >= 1) << "empty payload";
+
+  CollectiveTiming timing;
+  const RetransBaseline retrans(net);
+  const double pack_spe = wire.initial_pack_seconds_per_element;
+  const double units = static_cast<double>(schedule.units);
+
+  // Every member packs its first outgoing range before its first send.
+  std::vector<double> ready(m, start_time);
+  std::vector<bool> packed(m, false);
+  double first_pack_0 = 0.0;
+  for (const ScheduleStep& step : schedule.steps) {
+    if (!packed[step.src]) {
+      packed[step.src] = true;
+      const double first = static_cast<double>(step.range.count);
+      ready[step.src] += pack_spe * first;
+      if (step.src == 0) {
+        first_pack_0 = first;
+      }
+    }
+  }
+
+  // Per stream: [earliest send, latest landing], and whether it folds.
+  struct StreamSpan {
+    double begin = std::numeric_limits<double>::infinity();
+    double end = -std::numeric_limits<double>::infinity();
+    bool folds = false;
+  };
+  obs::TraceSession* const trace = obs::TraceSession::current();
+  std::vector<StreamSpan> streams;
+
+  double folded_0 = 0.0;
+  std::vector<double> landed(m);
+  std::vector<double> retired(m);
+  for_each_hop(schedule, [&](std::span<const ScheduleStep> hop) {
+    for (const ScheduleStep& step : hop) {
+      landed[step.dst] = ready[step.dst];
+      retired[step.dst] = ready[step.dst];
+    }
+    for (const ScheduleStep& step : hop) {
+      const std::size_t count = step.range.count;
+      const double elements = static_cast<double>(count);
+      double done = ready[step.src];
+      if (count > 0) {
+        const double bits =
+            step.fold ? wire.reduce_bits(count, step.fold->partial_weight)
+                      : wire.gather_bits(count);
+        done = net.transfer_bits(step.src, step.dst, bits, ready[step.src],
+                                 schedule.server_links);
+        timing.total_wire_bits += bits;
+      }
+      retired[step.src] = std::max(retired[step.src], done);
+      double arrived = done;
+      if (step.fold) {
+        arrived += wire.serial_seconds_per_element * elements;
+        if (step.dst == 0) {
+          folded_0 += elements;
+        }
+      }
+      landed[step.dst] = std::max(landed[step.dst], arrived);
+      if (trace != nullptr) {
+        if (streams.size() <= step.stream) {
+          streams.resize(step.stream + 1);
+        }
+        StreamSpan& span = streams[step.stream];
+        span.begin = std::min(span.begin, ready[step.src]);
+        span.end = std::max(span.end, arrived);
+        span.folds = span.folds || step.fold.has_value();
+      }
+    }
+    for (const ScheduleStep& step : hop) {
+      ready[step.dst] = std::max(landed[step.dst], retired[step.dst]);
+    }
+  });
+
+  if (trace != nullptr) {
+    const double offset = trace->time_offset();
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const StreamSpan& span = streams[s];
+      if (span.begin <= span.end) {
+        const char* kind = span.folds ? "reduce stream " : "gather stream ";
+        trace->add_span(kind + std::to_string(s), "phase",
+                        offset + span.begin, offset + span.end,
+                        /*track=*/0);
+      }
+    }
+  }
+
+  const double last = *std::max_element(ready.begin(), ready.end());
+  const double unpack = wire.final_unpack_seconds_per_element * units;
+  timing.completion_seconds = last + unpack - start_time;
+  timing.bits_per_worker = timing.total_wire_bits / static_cast<double>(m);
+  timing.serial_compression_seconds_per_worker =
+      pack_spe * first_pack_0 +
+      wire.serial_seconds_per_element * folded_0 + unpack;
+  timing.overlapped_compression_seconds_per_worker =
+      pack_spe * (units - first_pack_0) +
+      wire.overlapped_seconds_per_element * folded_0;
+  retrans.record_into(timing, net);
+  return timing;
 }
 
 }  // namespace marsit

@@ -12,7 +12,9 @@
 //
 //   reduce-scatter  the one-bit plane over W sign words (every member holds
 //                   W words): reduce-scatter folds, then all-gather copies,
-//                   2(M−1)·W words per round in total.
+//                   2(M−1)·W words per round in total.  SyncStrategy prices
+//                   its ring, torus and tree rounds on the same plane over
+//                   elements instead of words.
 //     ring    W splits into M segments.  At hop t member i sends segment
 //             (i−t) mod M to i+1, which folds it as op t of that segment's
 //             chain (arriving weight t+1, local weight 1); member i ends up
@@ -38,14 +40,15 @@
 // round_seed, seed_id), k), so any member can fold any op without replaying
 // other draws, and `partial_first` fixes the ⊙ operand order — the ring and
 // torus fold into the arriving partial, PS and tree into the local aggregate.
-// Empty ranges (W < parts) stay in the list so a predictor still orders the
+// Empty ranges (W < parts) stay in the list so the pricer still orders the
 // receiver after the sender, but they move no bytes and draw no rng.
 //
 // Three interpreters replay a schedule, so each paradigm's hop order is
 // written once, here:
 //   fold_schedule (below)      the single-process fold MarsitSync runs;
-//   the Transport executor     one rank's sends and receives (src/dist);
-//   the α–β predictor          the same hops on NetworkSim (src/dist).
+//   price_schedule (below)     the α–β pricer: the same hops on NetworkSim,
+//                              for SyncStrategy, the dist worker, the benches;
+//   the Transport executor     one rank's sends and receives (src/dist).
 #pragma once
 
 #include <cstddef>
@@ -54,7 +57,9 @@
 #include <span>
 #include <vector>
 
+#include "collectives/timing.hpp"
 #include "compress/bit_vector.hpp"
+#include "net/network_sim.hpp"
 
 namespace marsit {
 
@@ -121,11 +126,11 @@ struct Schedule {
   std::vector<OwnedRange> finals;
 };
 
-/// The one-bit reduce-scatter plane over `num_words` sign words.  A torus
-/// re-forms by reformed_torus_rows(members, torus_cols).
+/// The reduce-scatter plane over `units` units: sign words for the one-bit
+/// fold, elements when SyncStrategy prices a ring, torus or tree round.  A
+/// torus re-forms by reformed_torus_rows(members, torus_cols).
 Schedule reduce_scatter_schedule(MarParadigm paradigm, std::size_t members,
-                                 std::size_t torus_cols,
-                                 std::size_t num_words);
+                                 std::size_t torus_cols, std::size_t units);
 
 /// The all-gather plane over `members` slots of `slot_bytes` bytes.
 Schedule all_gather_schedule(MarParadigm paradigm, std::size_t members,
@@ -158,5 +163,26 @@ void apply_fold(const FoldOp& fold, std::uint64_t round_seed,
 /// scratch.
 void fold_schedule(const Schedule& schedule, std::vector<BitVector>& signs,
                    std::uint64_t round_seed);
+
+/// The α–β interpreter: replays `schedule`'s hops on `net` in list order,
+/// every member's payload ready at `start_time`.  A hop's transfers leave
+/// in list order from their senders' ready times from before the hop; a
+/// member that received in the hop is then ready once its arrivals have
+/// landed and its own sends have retired, and a pure sender does not wait.
+/// An empty range orders its receiver after the sender but costs nothing.
+///
+/// `wire` prices a step by what the receiver does with it: a fold carries
+/// reduce_bits(count, fold->partial_weight) and then charges
+/// serial_seconds_per_element·count on the receiver; a copy carries
+/// gather_bits(count).  Each member packs its first outgoing range before
+/// its first send; member 0 stands for every worker in the compression
+/// shares (its first pack, its folds' serial seconds and one final unpack
+/// of all units on the critical path; the rest of the pack and its folds'
+/// overlapped seconds in the overlapped share), and the final unpack closes
+/// the round.  CRC footers and retransmissions are charged as on every
+/// collective (RetransBaseline).  Emits one "phase" trace span per stream.
+CollectiveTiming price_schedule(const Schedule& schedule,
+                                const WireFormat& wire, NetworkSim& net,
+                                double start_time = 0.0);
 
 }  // namespace marsit

@@ -283,29 +283,18 @@ CollectiveTiming SyncStrategy::base_collective_timing(std::size_t d,
                                                       NetworkSim& net,
                                                       double start_time) {
   const std::size_t m = active_.size();
-  switch (config_.paradigm) {
-    case MarParadigm::kRing:
-      return ring_allreduce_timing(m, d, wire, net, start_time);
-    case MarParadigm::kTorus2d: {
-      // A degraded torus re-forms by the rule the reduce-scatter schedule
-      // folds with: a smaller torus while the survivors fill whole rows,
-      // else a ring of survivors.
-      const std::size_t rows = reformed_torus_rows(m, config_.torus_cols);
-      if (rows == 0) {
-        return ring_allreduce_timing(m, d, wire, net, start_time);
-      }
-      MARSIT_VALIDATE_CALL(
-          validate::torus_shape(rows, config_.torus_cols, m));
-      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net,
-                                    start_time);
-    }
-    case MarParadigm::kParameterServer:
-      return ps_allreduce_timing(m, d, wire, net, start_time);
-    case MarParadigm::kTree:
-      return tree_allreduce_timing(m, d, wire, net, start_time);
+  if (config_.paradigm == MarParadigm::kParameterServer) {
+    return ps_allreduce_timing(m, d, wire, net, start_time);
   }
-  MARSIT_CHECK(false) << "unreachable paradigm";
-  return {};
+  const auto key = std::make_pair(m, d);
+  auto found = priced_schedules_.find(key);
+  if (found == priced_schedules_.end()) {
+    found = priced_schedules_
+                .emplace(key, reduce_scatter_schedule(config_.paradigm, m,
+                                                      config_.torus_cols, d))
+                .first;
+  }
+  return price_schedule(found->second, wire, net, start_time);
 }
 
 CollectiveTiming SyncStrategy::mar_timing(

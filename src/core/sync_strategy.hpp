@@ -15,10 +15,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
@@ -197,7 +199,9 @@ class SyncStrategy {
   /// One unpipelined collective of the configured paradigm (including the
   /// degraded-membership re-forms) for a d-element payload ready at
   /// `start_time`, priced on `net` — both mar_timing paths bottom out here,
-  /// the pipelined one once per chunk.
+  /// the pipelined one once per chunk.  Ring, torus and tree rounds replay
+  /// reduce_scatter_schedule over elements through price_schedule; the
+  /// parameter server keeps its hand pricer (ps_allreduce_timing).
   CollectiveTiming base_collective_timing(std::size_t d,
                                           const WireFormat& wire,
                                           NetworkSim& net, double start_time);
@@ -225,6 +229,10 @@ class SyncStrategy {
   std::size_t round_ = 0;
   std::vector<std::size_t> active_;  // this round's surviving worker indices
   WorkerSpans active_scratch_;       // filtered-span scratch (degraded rounds)
+  /// Element-plane schedules base_collective_timing prices, per (members,
+  /// elements): at most two sizes (pipeline body and tail chunk) per
+  /// membership.
+  std::map<std::pair<std::size_t, std::size_t>, Schedule> priced_schedules_;
 };
 
 /// Bits/element lookup into a measured per-contribution Elias size cache:

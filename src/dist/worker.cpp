@@ -1,6 +1,5 @@
 #include "dist/worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <span>
@@ -76,47 +75,20 @@ void execute(const Schedule& schedule, Transport& transport,
   });
 }
 
-struct RoundPrediction {
-  double seconds = 0.0;
-  double total_bits = 0.0;
-};
-
-/// The α–β interpreter: replays `schedule`'s hops on a fresh NetworkSim in
-/// list order.  A hop's transfers start at their senders' ready times from
-/// before the hop.  A member that received in the hop is then ready once
-/// everything it received has landed and its own sends retired; a pure
-/// sender posts its sends without waiting.  An empty range costs nothing
-/// but still orders its receiver after the sender.  net.total_bytes() is
-/// by construction the sum of every rank's payload bytes.
-RoundPrediction predict(const Schedule& schedule,
-                        const CostModel& cost_model) {
-  const std::size_t m = schedule.members;
-  NetworkSim net(m, cost_model);
-  std::vector<double> ready(m, 0.0);
-  for_each_hop(schedule, [&](std::span<const ScheduleStep> hop) {
-    std::vector<double> landed(ready);
-    std::vector<double> retired(m, 0.0);
-    std::vector<bool> received(m, false);
-    for (const ScheduleStep& step : hop) {
-      const double done =
-          step.range.count == 0
-              ? ready[step.src]
-              : net.transfer(step.src, step.dst,
-                             static_cast<double>(step.range.count *
-                                                 schedule.unit_bytes),
-                             ready[step.src], schedule.server_links);
-      landed[step.dst] = std::max(landed[step.dst], done);
-      retired[step.src] = std::max(retired[step.src], done);
-      received[step.dst] = true;
-    }
-    for (std::size_t x = 0; x < m; ++x) {
-      if (received[x]) {
-        ready[x] = std::max(landed[x], retired[x]);
-      }
-    }
-  });
-  return {*std::max_element(ready.begin(), ready.end()),
-          net.total_bytes() * 8.0};
+/// Prices a plane as its bytes: every unit of every step, fold or copy,
+/// carries 8·unit_bytes bits, and no codec work is charged.
+CollectiveTiming price_plane(const Schedule& schedule,
+                             const CostModel& cost_model) {
+  const double unit_bits = 8.0 * static_cast<double>(schedule.unit_bytes);
+  WireFormat wire;
+  wire.reduce_bits = [unit_bits](std::size_t units, std::size_t) {
+    return unit_bits * static_cast<double>(units);
+  };
+  wire.gather_bits = [unit_bits](std::size_t units) {
+    return unit_bits * static_cast<double>(units);
+  };
+  NetworkSim net(schedule.members, cost_model);
+  return price_schedule(schedule, wire, net);
 }
 
 }  // namespace
@@ -162,9 +134,10 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       config.paradigm, m, config.torus_cols, d * sizeof(float));
   const Schedule rs_plane = reduce_scatter_schedule(
       config.paradigm, m, config.torus_cols, kernels::words_for(d));
-  const RoundPrediction flush_prediction =
-      predict(flush_plane, config.cost_model);
-  const RoundPrediction rs_prediction = predict(rs_plane, config.cost_model);
+  const CollectiveTiming flush_prediction =
+      price_plane(flush_plane, config.cost_model);
+  const CollectiveTiming rs_prediction =
+      price_plane(rs_plane, config.cost_model);
   Tensor flush_slots;
   if (k > 0) {
     flush_slots = Tensor(m * d);
@@ -221,10 +194,10 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     }
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
-    const RoundPrediction& prediction =
+    const CollectiveTiming& prediction =
         full_precision ? flush_prediction : rs_prediction;
-    report.predicted_comm_seconds = prediction.seconds;
-    report.total_wire_bits = prediction.total_bits;
+    report.predicted_comm_seconds = prediction.completion_seconds;
+    report.total_wire_bits = prediction.total_wire_bits;
 
     model.apply_update(global.span());
     result.rounds.push_back(report);

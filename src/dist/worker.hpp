@@ -9,14 +9,16 @@
 // tests/dist_cross_backend_test pins via FNV-1a param digests.
 //
 // Every round replays one of two schedules from core/schedule.hpp, built
-// once per run, through two interpreters private to this file:
+// once per run, through two interpreters:
 //
-//   execute   this rank's sends and receives over the Transport, hop by hop;
-//   predict   the same hops on a NetworkSim — the round's α–β prediction,
-//             whose byte total is by construction the sum of every rank's
-//             payload bytes (RoundReport::total_wire_bits, the invariant
-//             tests/dist_wire_volume_test pins).  Both schedules are fixed
-//             and fault-free, so each is predicted once per run.
+//   execute          this rank's sends and receives over the Transport, hop
+//                    by hop (private to this file);
+//   price_schedule   the same hops on a NetworkSim with a byte wire — the
+//                    round's α–β prediction, whose bit total is by
+//                    construction the sum of every rank's payload bits
+//                    (RoundReport::total_wire_bits, the invariant
+//                    tests/dist_wire_volume_test pins).  Both schedules are
+//                    fixed and fault-free, so each is priced once per run.
 //
 // The schedules:
 //

@@ -227,12 +227,13 @@ void Conv2d::forward(std::span<const float> x, std::size_t batch,
   const std::size_t pixels = implicit ? wide_pixels() : out_plane;
 
   // Cache what backward needs for the weight gradient: the padded input
-  // (stride 1) or the im2col image.  A new buffer is all zeros, which is
-  // the padded input's border.
+  // (stride 1) or the im2col image.  The cache only grows, and a batch
+  // uses its prefix.  A new buffer is all zeros, which is the padded
+  // input's border; forward writes only interiors, so the border stays 0.
   Tensor& cache = implicit ? padded_ : cached_cols_;
   const std::size_t cache_size =
       batch * (implicit ? in_.channels * padded_plane() : out_plane * patch);
-  if (cache.size() != cache_size) {
+  if (cache.size() < cache_size) {
     cache = Tensor(cache_size);
   }
   cached_batch_ = batch;

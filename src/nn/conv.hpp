@@ -90,7 +90,8 @@ class Conv2d final : public Layer {
   Tensor storage_;       // [W(oc,ic,k,k) | b(oc)]
   Tensor grad_storage_;
   // Cached by forward for backward's weight gradient: the padded input
-  // (stride 1) or the im2col image (stride > 1).
+  // (stride 1) or the im2col image (stride > 1), sized for the largest
+  // batch seen; cached_batch_ samples of it are valid.
   Tensor padded_;
   Tensor cached_cols_;
   std::size_t cached_batch_ = 0;

@@ -24,23 +24,25 @@ void ResidualConvBlock::forward(std::span<const float> x, std::size_t batch,
   const std::size_t elems = batch * dims_.size();
   MARSIT_CHECK(x.size() == elems && y.size() == elems)
       << "residual forward extent mismatch";
-  if (mid_.size() != elems) {
+  // Grow-only: a smaller batch (an eval pass) runs on the buffers' prefix.
+  if (mid_.size() < elems) {
     mid_ = Tensor(elems);
     mid_relu_ = Tensor(elems);
     body_out_ = Tensor(elems);
     out_mask_ = Tensor(elems);
   }
+  forward_batch_ = batch;
 
-  conv1_.forward(x, batch, mid_.span());
-  auto mid = mid_.span();
-  auto mid_relu = mid_relu_.span();
+  auto mid = mid_.span().subspan(0, elems);
+  conv1_.forward(x, batch, mid);
+  auto mid_relu = mid_relu_.span().subspan(0, elems);
   for (std::size_t i = 0; i < elems; ++i) {
     mid_relu[i] = mid[i] > 0.0f ? mid[i] : 0.0f;
   }
-  conv2_.forward(mid_relu, batch, body_out_.span());
+  auto body = body_out_.span().subspan(0, elems);
+  conv2_.forward(mid_relu, batch, body);
 
-  auto body = body_out_.span();
-  auto mask = out_mask_.span();
+  auto mask = out_mask_.span().subspan(0, elems);
   for (std::size_t i = 0; i < elems; ++i) {
     const float pre = body[i] + x[i];
     const bool active = pre > 0.0f;
@@ -54,19 +56,19 @@ void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
   const std::size_t elems = batch * dims_.size();
   MARSIT_CHECK(dy.size() == elems && dx.size() == elems)
       << "residual backward extent mismatch";
-  MARSIT_CHECK(out_mask_.size() == elems)
+  MARSIT_CHECK(forward_batch_ == batch)
       << "residual backward without matching forward";
-  if (scratch_.size() != 2 * elems) {
+  if (scratch_.size() < 2 * elems) {
     scratch_ = Tensor(2 * elems);
   }
   auto d_pre = scratch_.span().subspan(0, elems);      // d(body + x)
   auto d_mid = scratch_.span().subspan(elems, elems);  // grads through body
 
-  hadamard(dy, out_mask_.span(), d_pre);
+  hadamard(dy, out_mask_.span().subspan(0, elems), d_pre);
 
   // Body branch: conv2 backward → ReLU mask on mid → conv1 backward.
   conv2_.backward(d_pre, batch, d_mid);
-  auto mid = mid_.span();
+  auto mid = mid_.span().subspan(0, elems);
   for (std::size_t i = 0; i < elems; ++i) {
     if (mid[i] <= 0.0f) {
       d_mid[i] = 0.0f;

@@ -42,11 +42,13 @@ class ResidualConvBlock final : public CompositeLayer {
   ImageDims dims_;
   Conv2d conv1_;
   Conv2d conv2_;
+  // Sized for the largest batch seen; a batch uses their prefix.
   Tensor mid_;        // conv1 output (pre-ReLU)
   Tensor mid_relu_;   // ReLU(conv1 output)
   Tensor body_out_;   // conv2 output
   Tensor out_mask_;   // final ReLU mask
   Tensor scratch_;    // backward intermediates
+  std::size_t forward_batch_ = 0;  // batch of the last forward
 };
 
 }  // namespace marsit

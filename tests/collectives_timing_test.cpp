@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "net/crc32.hpp"
 #include "net/fault_plan.hpp"
 #include "util/check.hpp"
@@ -24,12 +26,27 @@ CostModel test_model() {
   return model;
 }
 
+/// Prices one all-reduce of `d` elements by replaying the paradigm's
+/// reduce-scatter schedule.
+CollectiveTiming price(MarParadigm paradigm, std::size_t members,
+                       std::size_t d, const WireFormat& wire, NetworkSim& net,
+                       std::size_t torus_cols = 0, double start_time = 0.0) {
+  return price_schedule(
+      reduce_scatter_schedule(paradigm, members, torus_cols, d), wire, net,
+      start_time);
+}
+
+CollectiveTiming price_ring(std::size_t members, std::size_t d,
+                            const WireFormat& wire, NetworkSim& net,
+                            double start_time = 0.0) {
+  return price(MarParadigm::kRing, members, d, wire, net, 0, start_time);
+}
+
 TEST(RingTimingTest, FullPrecisionMatchesClosedForm) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
   const std::size_t m = 4, d = 400;  // seg = 100 elements = 400 bytes
-  const CollectiveTiming timing =
-      ring_allreduce_timing(m, d, full_precision_wire(), net);
+  const CollectiveTiming timing = price_ring(m, d, full_precision_wire(), net);
   // 2(M−1) synchronous steps of (α + 400/β) each.
   EXPECT_NEAR(timing.completion_seconds, 6.0 * (1.0 + 4.0), 1e-9);
   // Total bits: 2(M−1) steps × M segments × 32·seg bits.
@@ -40,9 +57,9 @@ TEST(RingTimingTest, FullPrecisionMatchesClosedForm) {
 TEST(RingTimingTest, MarsitWireIs32xSmaller) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
-  const auto full = ring_allreduce_timing(4, 3200, full_precision_wire(), net);
+  const auto full = price_ring(4, 3200, full_precision_wire(), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(4, 3200, marsit_wire(model), net);
+  const auto one_bit = price_ring(4, 3200, marsit_wire(model), net);
   EXPECT_NEAR(full.total_wire_bits / one_bit.total_wire_bits, 32.0, 1e-9);
   EXPECT_LT(one_bit.completion_seconds, full.completion_seconds);
 }
@@ -51,7 +68,7 @@ TEST(RingTimingTest, MarsitTotalBitsFormula) {
   // One-bit ring: 2(M−1)·D bits total when M | D.
   const CostModel model = test_model();
   NetworkSim net(8, model);
-  const auto timing = ring_allreduce_timing(8, 800, marsit_wire(model), net);
+  const auto timing = price_ring(8, 800, marsit_wire(model), net);
   EXPECT_NEAR(timing.total_wire_bits, 2.0 * 7.0 * 800.0, 1e-9);
 }
 
@@ -59,10 +76,9 @@ TEST(RingTimingTest, CascadingSlowerThanMarsitWithRealRates) {
   CostModel model = test_model();
   model.cascade_recompress_rate = 10.0;  // 10 elements/s: brutal hops
   NetworkSim net(4, model);
-  const auto cascade =
-      ring_allreduce_timing(4, 400, cascading_wire(model), net);
+  const auto cascade = price_ring(4, 400, cascading_wire(model), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(4, 400, marsit_wire(model), net);
+  const auto one_bit = price_ring(4, 400, marsit_wire(model), net);
   EXPECT_GT(cascade.completion_seconds, one_bit.completion_seconds);
   EXPECT_GT(cascade.compression_seconds_per_worker(),
             one_bit.compression_seconds_per_worker());
@@ -80,10 +96,9 @@ TEST(RingTimingTest, SignSumBitsGrowWithContributions) {
 TEST(RingTimingTest, SignSumWireCostsMoreThanMarsit) {
   const CostModel model = test_model();
   NetworkSim net(8, model);
-  const auto sign_sum =
-      ring_allreduce_timing(8, 6400, sign_sum_wire(model), net);
+  const auto sign_sum = price_ring(8, 6400, sign_sum_wire(model), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(8, 6400, marsit_wire(model), net);
+  const auto one_bit = price_ring(8, 6400, marsit_wire(model), net);
   EXPECT_GT(sign_sum.total_wire_bits, one_bit.total_wire_bits);
   EXPECT_GT(sign_sum.completion_seconds, one_bit.completion_seconds);
 }
@@ -91,11 +106,9 @@ TEST(RingTimingTest, SignSumWireCostsMoreThanMarsit) {
 TEST(RingTimingTest, RejectsDegenerateArguments) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
-  EXPECT_THROW(ring_allreduce_timing(1, 100, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(ring_allreduce_timing(4, 0, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(ring_allreduce_timing(8, 100, marsit_wire(model), net),
+  EXPECT_THROW(price_ring(1, 100, marsit_wire(model), net), CheckError);
+  EXPECT_THROW(price_ring(4, 0, marsit_wire(model), net), CheckError);
+  EXPECT_THROW(price_ring(8, 100, marsit_wire(model), net),
                CheckError);  // network smaller than worker count
 }
 
@@ -117,8 +130,7 @@ TEST(PsTimingTest, PsSlowerThanRingForFullPrecision) {
   NetworkSim ps_net(m + 1, model);
   const auto ps = ps_allreduce_timing(m, d, full_precision_wire(), ps_net);
   NetworkSim ring_net(m, model);
-  const auto ring = ring_allreduce_timing(m, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_ring(m, d, full_precision_wire(), ring_net);
   EXPECT_GT(ps.completion_seconds, ring.completion_seconds);
 }
 
@@ -132,8 +144,8 @@ TEST(PsTimingTest, RequiresServerNode) {
 TEST(TorusTimingTest, CompletesAndCountsBits) {
   const CostModel model = test_model();
   NetworkSim net(16, model);
-  const auto timing = torus_allreduce_timing(4, 4, 1600, marsit_wire(model),
-                                             net);
+  const auto timing =
+      price(MarParadigm::kTorus2d, 16, 1600, marsit_wire(model), net, 4);
   EXPECT_GT(timing.completion_seconds, 0.0);
   EXPECT_GT(timing.total_wire_bits, 0.0);
   EXPECT_GT(timing.bits_per_worker, 0.0);
@@ -147,21 +159,32 @@ TEST(TorusTimingTest, FewerLatencyStepsThanRingWhenAlphaDominates) {
   model.link_bandwidth = 1e12;  // latency-bound
   const std::size_t m = 16, d = 16000;
   NetworkSim ring_net(m, model);
-  const auto ring = ring_allreduce_timing(m, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_ring(m, d, full_precision_wire(), ring_net);
   NetworkSim torus_net(m, model);
-  const auto torus = torus_allreduce_timing(4, 4, d, full_precision_wire(),
-                                            torus_net);
+  const auto torus = price(MarParadigm::kTorus2d, m, d,
+                           full_precision_wire(), torus_net, 4);
   EXPECT_LT(torus.completion_seconds, ring.completion_seconds);
 }
 
-TEST(TorusTimingTest, RejectsDegenerateShapes) {
+TEST(TorusTimingTest, OneRowTorusPricesAsRing) {
+  // A torus whose members fill fewer than two whole rows re-forms as a ring
+  // (reformed_torus_rows), in the fold and in the price alike.
+  const CostModel model = test_model();
+  NetworkSim torus_net(16, model);
+  const auto torus = price(MarParadigm::kTorus2d, 16, 1600,
+                           marsit_wire(model), torus_net, 16);
+  NetworkSim ring_net(16, model);
+  const auto as_ring = price_ring(16, 1600, marsit_wire(model), ring_net);
+  EXPECT_DOUBLE_EQ(torus.completion_seconds, as_ring.completion_seconds);
+  EXPECT_DOUBLE_EQ(torus.total_wire_bits, as_ring.total_wire_bits);
+}
+
+TEST(TorusTimingTest, RejectsNetworkSmallerThanTorus) {
   const CostModel model = test_model();
   NetworkSim net(16, model);
-  EXPECT_THROW(torus_allreduce_timing(1, 16, 100, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(torus_allreduce_timing(8, 4, 100, marsit_wire(model), net),
-               CheckError);  // 32 nodes > 16-node network
+  EXPECT_THROW(
+      price(MarParadigm::kTorus2d, 32, 100, marsit_wire(model), net, 4),
+      CheckError);  // 32 nodes > 16-node network
 }
 
 TEST(WireFormatTest, EliasWireUsesMeasuredSizes) {
@@ -187,8 +210,7 @@ TEST(RingTimingTest, CorruptionChargesFooterOncePerDeliveredMessage) {
   // place, never double-counted against retransmission accounting.
   const CostModel model = test_model();
   NetworkSim clean_net(4, model);
-  const auto clean =
-      ring_allreduce_timing(4, 400, full_precision_wire(), clean_net);
+  const auto clean = price_ring(4, 400, full_precision_wire(), clean_net);
 
   FaultPlan plan;
   plan.corruption_rate = 1e-12;  // footer cost without actual corruption
@@ -196,7 +218,7 @@ TEST(RingTimingTest, CorruptionChargesFooterOncePerDeliveredMessage) {
   NetworkSim net(4, model);
   net.set_fault_plan(&plan);
   net.begin_round(0);
-  const auto lossy = ring_allreduce_timing(4, 400, full_precision_wire(), net);
+  const auto lossy = price_ring(4, 400, full_precision_wire(), net);
   // The M=4 ring moves 2(M−1) steps × M segments = 24 messages.
   EXPECT_DOUBLE_EQ(lossy.total_wire_bits,
                    clean.total_wire_bits + kCrcFooterBits * 24.0);
@@ -213,11 +235,10 @@ TEST(PipelinedTimingTest, SerialCacheKeysOnChunkGeometry) {
   const CostModel model = test_model();
   const WireFormat wire = full_precision_wire();
   NetworkSim ref(4, model);
-  const double t_ring =
-      ring_allreduce_timing(4, 64, wire, ref).completion_seconds;
+  const double t_ring = price_ring(4, 64, wire, ref).completion_seconds;
   ref.reset();
   const double t_tree =
-      tree_allreduce_timing(4, 64, wire, ref).completion_seconds;
+      price(MarParadigm::kTree, 4, 64, wire, ref).completion_seconds;
   ASSERT_NE(t_ring, t_tree) << "geometries must differ for this regression";
 
   NetworkSim net(4, model);
@@ -227,10 +248,9 @@ TEST(PipelinedTimingTest, SerialCacheKeysOnChunkGeometry) {
          const WireFormat& chunk_wire, NetworkSim& chunk_net,
          double start_time) {
         return chunk_index == 0
-                   ? ring_allreduce_timing(4, elements, chunk_wire, chunk_net,
-                                           start_time)
-                   : tree_allreduce_timing(4, elements, chunk_wire, chunk_net,
-                                           start_time);
+                   ? price_ring(4, elements, chunk_wire, chunk_net, start_time)
+                   : price(MarParadigm::kTree, 4, elements, chunk_wire,
+                           chunk_net, 0, start_time);
       });
   // Two 64-element chunks over distinct topologies: the serial reference
   // must price each with its own schedule (the old cache returned

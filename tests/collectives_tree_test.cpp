@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "collectives/timing.hpp"
+#include "core/schedule.hpp"
 #include "core/sync_strategy.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -28,11 +29,29 @@ CostModel test_model() {
   return model;
 }
 
+/// Prices one all-reduce of `d` elements by replaying the paradigm's
+/// reduce-scatter schedule over `members`.
+CollectiveTiming price(MarParadigm paradigm, std::size_t members,
+                       std::size_t d, const WireFormat& wire,
+                       NetworkSim& net) {
+  return price_schedule(reduce_scatter_schedule(paradigm, members, 0, d),
+                        wire, net);
+}
+
+CollectiveTiming price_tree(std::size_t members, std::size_t d,
+                            const WireFormat& wire, NetworkSim& net) {
+  return price(MarParadigm::kTree, members, d, wire, net);
+}
+
+CollectiveTiming price_ring(std::size_t members, std::size_t d,
+                            const WireFormat& wire, NetworkSim& net) {
+  return price(MarParadigm::kRing, members, d, wire, net);
+}
+
 TEST(TreeTimingTest, TwoWorkersIsOneRoundTrip) {
   const CostModel model = test_model();
   NetworkSim net(2, model);
-  const auto timing =
-      tree_allreduce_timing(2, 100, full_precision_wire(), net);
+  const auto timing = price_tree(2, 100, full_precision_wire(), net);
   // One 400-byte reduce transfer + one broadcast transfer: 2·(1 + 4).
   EXPECT_NEAR(timing.completion_seconds, 2.0 * (1.0 + 4.0), 1e-9);
   EXPECT_NEAR(timing.total_wire_bits, 2.0 * 3200.0, 1e-9);
@@ -45,11 +64,9 @@ TEST(TreeTimingTest, LogDepthScaling) {
   model.link_bandwidth = 1e12;
   const std::size_t d = 1000;
   NetworkSim tree_net(16, model);
-  const auto tree = tree_allreduce_timing(16, d, full_precision_wire(),
-                                          tree_net);
+  const auto tree = price_tree(16, d, full_precision_wire(), tree_net);
   NetworkSim ring_net(16, model);
-  const auto ring = ring_allreduce_timing(16, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_ring(16, d, full_precision_wire(), ring_net);
   EXPECT_LT(tree.completion_seconds, ring.completion_seconds / 2.0);
 }
 
@@ -61,11 +78,9 @@ TEST(TreeTimingTest, BandwidthBoundRingWins) {
   model.link_alpha = 0.0;
   const std::size_t d = 100000;
   NetworkSim tree_net(16, model);
-  const auto tree = tree_allreduce_timing(16, d, full_precision_wire(),
-                                          tree_net);
+  const auto tree = price_tree(16, d, full_precision_wire(), tree_net);
   NetworkSim ring_net(16, model);
-  const auto ring = ring_allreduce_timing(16, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_ring(16, d, full_precision_wire(), ring_net);
   EXPECT_GT(tree.completion_seconds, ring.completion_seconds);
 }
 
@@ -73,8 +88,7 @@ TEST(TreeTimingTest, NonPowerOfTwoWorkerCounts) {
   const CostModel model = test_model();
   for (std::size_t m : {3u, 5u, 6u, 7u, 12u}) {
     NetworkSim net(m, model);
-    const auto timing =
-        tree_allreduce_timing(m, 64, marsit_wire(model), net);
+    const auto timing = price_tree(m, 64, marsit_wire(model), net);
     EXPECT_GT(timing.completion_seconds, 0.0) << "M=" << m;
     // Reduce needs M−1 merges, broadcast M−1 sends: 2(M−1) messages total.
     EXPECT_EQ(net.total_messages(), 2 * (m - 1)) << "M=" << m;
@@ -84,23 +98,18 @@ TEST(TreeTimingTest, NonPowerOfTwoWorkerCounts) {
 TEST(TreeTimingTest, SignSumPayloadsGrowUpTheTree) {
   const CostModel model = test_model();
   NetworkSim fixed_net(8, model);
-  const auto fixed = tree_allreduce_timing(8, 6400, sign_sum_wire(model),
-                                           fixed_net);
+  const auto fixed = price_tree(8, 6400, sign_sum_wire(model), fixed_net);
   NetworkSim one_bit_net(8, model);
-  const auto one_bit = tree_allreduce_timing(8, 6400, marsit_wire(model),
-                                             one_bit_net);
+  const auto one_bit = price_tree(8, 6400, marsit_wire(model), one_bit_net);
   EXPECT_GT(fixed.total_wire_bits, one_bit.total_wire_bits);
 }
 
 TEST(TreeTimingTest, RejectsDegenerateArguments) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
-  EXPECT_THROW(tree_allreduce_timing(1, 10, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(tree_allreduce_timing(8, 10, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(tree_allreduce_timing(4, 0, marsit_wire(model), net),
-               CheckError);
+  EXPECT_THROW(price_tree(1, 10, marsit_wire(model), net), CheckError);
+  EXPECT_THROW(price_tree(8, 10, marsit_wire(model), net), CheckError);
+  EXPECT_THROW(price_tree(4, 0, marsit_wire(model), net), CheckError);
 }
 
 // --- tree schedule under an active FaultPlan --------------------------------
@@ -114,16 +123,14 @@ TEST(TreeFaultTest, PacketLossBurnsRetransmittedBitsNotPayload) {
 
   NetworkSim clean_net(8, model);
   clean_net.begin_round(0);
-  const auto clean =
-      tree_allreduce_timing(8, 256, full_precision_wire(), clean_net);
+  const auto clean = price_tree(8, 256, full_precision_wire(), clean_net);
   EXPECT_EQ(clean.retransmissions, 0u);
   EXPECT_DOUBLE_EQ(clean.retransmitted_wire_bits, 0.0);
 
   NetworkSim lossy_net(8, model);
   lossy_net.set_fault_plan(&plan);
   lossy_net.begin_round(0);
-  const auto lossy =
-      tree_allreduce_timing(8, 256, full_precision_wire(), lossy_net);
+  const auto lossy = price_tree(8, 256, full_precision_wire(), lossy_net);
 
   // Payload accounting counts each message once; lost attempts land on the
   // retransmitted side channel and stretch completion via retry timeouts.
@@ -148,7 +155,7 @@ TEST(TreeFaultTest, FaultStreamIsDeterministicPerRound) {
   auto run = [&model, &plan](NetworkSim& net, std::size_t round) {
     net.set_fault_plan(&plan);
     net.begin_round(round);
-    return tree_allreduce_timing(8, 64, marsit_wire(model), net);
+    return price_tree(8, 64, marsit_wire(model), net);
   };
   NetworkSim net_a(8, model), net_b(8, model), net_c(8, model);
   const auto a = run(net_a, 5);
@@ -175,13 +182,11 @@ TEST(TreeFaultTest, RootStragglerStretchesCompletion) {
   plan.validate();
 
   NetworkSim clean_net(8, model);
-  const auto clean =
-      tree_allreduce_timing(8, 1000, full_precision_wire(), clean_net);
+  const auto clean = price_tree(8, 1000, full_precision_wire(), clean_net);
   NetworkSim slow_net(8, model);
   slow_net.set_fault_plan(&plan);
   slow_net.begin_round(0);
-  const auto slow =
-      tree_allreduce_timing(8, 1000, full_precision_wire(), slow_net);
+  const auto slow = price_tree(8, 1000, full_precision_wire(), slow_net);
   EXPECT_GT(slow.completion_seconds, clean.completion_seconds);
   EXPECT_EQ(slow.retransmissions, 0u);
   EXPECT_DOUBLE_EQ(slow.total_wire_bits, clean.total_wire_bits);
@@ -197,13 +202,11 @@ TEST(TreeFaultTest, RootOutageDefersTheWholeReduce) {
   NetworkSim net(8, model);
   net.set_fault_plan(&plan);
   net.begin_round(0);
-  const auto timing =
-      tree_allreduce_timing(8, 100, full_precision_wire(), net);
+  const auto timing = price_tree(8, 100, full_precision_wire(), net);
   // Nothing can land on the root before its NICs come back up.
   EXPECT_GT(timing.completion_seconds, 50.0);
   NetworkSim clean_net(8, model);
-  const auto clean =
-      tree_allreduce_timing(8, 100, full_precision_wire(), clean_net);
+  const auto clean = price_tree(8, 100, full_precision_wire(), clean_net);
   EXPECT_GT(timing.completion_seconds, clean.completion_seconds);
 }
 

@@ -12,6 +12,7 @@
 // bits, so a change to a hop schedule cannot move them unnoticed.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "net/socket_transport.hpp"
 #include "nn/models.hpp"
 #include "sim/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/logging.hpp"
 
@@ -53,8 +55,8 @@ dist::WorkerConfig worker_config(MarParadigm paradigm, std::size_t world) {
   return config;
 }
 
-Sequential make_model(const SyntheticDigits& digits) {
-  return make_mlp(digits.sample_size(), {8}, digits.num_classes());
+Sequential make_model(const SyntheticDigits& digits, std::size_t hidden = 8) {
+  return make_mlp(digits.sample_size(), {hidden}, digits.num_classes());
 }
 
 /// The oracle: the simulator run every backend must reproduce.
@@ -92,13 +94,16 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
 /// per-rank results in rank order.
 std::vector<dist::WorkerResult> run_ranks(
     const dist::WorkerConfig& config, std::size_t world,
-    const std::function<std::unique_ptr<Transport>(std::size_t)>& make) {
+    const std::function<std::unique_ptr<Transport>(std::size_t)>& make,
+    std::size_t hidden = 8) {
   std::vector<dist::WorkerResult> results(world);
   std::vector<std::thread> ranks;
   for (std::size_t r = 0; r < world; ++r) {
     ranks.emplace_back([&, r] {
       SyntheticDigits digits;
-      const auto factory = [&digits] { return make_model(digits); };
+      const auto factory = [&digits, hidden] {
+        return make_model(digits, hidden);
+      };
       std::unique_ptr<Transport> transport = make(r);
       results[r] = dist::run_marsit_worker(*transport, digits, factory,
                                            config);
@@ -111,15 +116,16 @@ std::vector<dist::WorkerResult> run_ranks(
 }
 
 std::vector<dist::WorkerResult> run_over_sim_fabric(
-    const dist::WorkerConfig& config, std::size_t world) {
+    const dist::WorkerConfig& config, std::size_t world,
+    std::size_t hidden = 8) {
   SimFabric fabric(world, config.cost_model);
   std::vector<std::unique_ptr<Transport>> endpoints;
   for (std::size_t r = 0; r < world; ++r) {
     endpoints.push_back(fabric.endpoint(r));
   }
-  auto results = run_ranks(config, world, [&](std::size_t r) {
-    return std::move(endpoints[r]);
-  });
+  auto results = run_ranks(
+      config, world,
+      [&](std::size_t r) { return std::move(endpoints[r]); }, hidden);
   EXPECT_GT(fabric.simulated_seconds(), 0.0);
   EXPECT_GT(fabric.total_bytes(), 0.0);
   return results;
@@ -253,6 +259,66 @@ TEST(DistCrossBackendTest, ParameterServerReduceScatter) {
 TEST(DistCrossBackendTest, TreeReduceScatter) {
   run_matrix(MarParadigm::kTree,
              {0xaa1f16253d1d9a25ull, 0x8e9bc4836cbca255ull});
+}
+
+/// The simulator and the dist worker price a one-bit round by replaying
+/// the same reduce-scatter schedule: MarsitSync over elements with the
+/// one-bit wire, the worker over sign words with a byte wire.  With
+/// D = 64·M·k both planes split alike, so with no codec cost the two
+/// prices agree exactly.
+void expect_same_one_bit_price(MarParadigm paradigm, std::size_t world) {
+  SCOPED_TRACE(testing::Message()
+               << mar_paradigm_name(paradigm) << " / " << world << " ranks");
+  // The hidden width makes D = 197·42 + 43·10 = 8704 = 64·8·17.
+  constexpr std::size_t kHidden = 42;
+  dist::WorkerConfig config = worker_config(paradigm, world);
+  config.rounds = 1;
+  config.options.full_precision_period = 0;  // round 0 is a one-bit round
+  // Infinite codec rates cost exactly zero seconds.
+  const double free = std::numeric_limits<double>::infinity();
+  config.cost_model.sign_pack_rate = free;
+  config.cost_model.sign_unpack_rate = free;
+  config.cost_model.stochastic_sign_rate = free;
+  config.cost_model.one_bit_combine_rate = free;
+  config.cost_model.cascade_recompress_rate = free;
+  config.cost_model.elias_code_rate = free;
+
+  SyntheticDigits digits;
+  const std::size_t d = make_model(digits, kHidden).param_count();
+  ASSERT_EQ(d % (64 * world), 0u);
+  const std::vector<dist::WorkerResult> worker =
+      run_over_sim_fabric(config, world, kHidden);
+
+  SyncConfig sync_config;
+  sync_config.num_workers = world;
+  sync_config.paradigm = paradigm;
+  sync_config.torus_rows = config.torus_rows;
+  sync_config.torus_cols = config.torus_cols;
+  sync_config.seed = config.sync_seed;
+  sync_config.cost_model = config.cost_model;
+  MarsitSync sync(sync_config, config.options);
+  std::vector<Tensor> inputs(world, Tensor(d));
+  WorkerSpans spans;
+  Rng rng(3);
+  for (Tensor& input : inputs) {
+    fill_normal(input.span(), rng, 0.0f, 1.0f);
+    spans.push_back(input.span());
+  }
+  Tensor out(d);
+  const SyncStepResult step = sync.synchronize(spans, out.span());
+
+  const dist::RoundReport& report = worker[0].rounds[0];
+  EXPECT_EQ(step.timing.completion_seconds, report.predicted_comm_seconds);
+  EXPECT_EQ(step.timing.total_wire_bits, report.total_wire_bits);
+}
+
+TEST(DistCrossBackendTest, SimulatorAndWorkerPriceOneBitRoundAlike) {
+  set_log_level(LogLevel::kWarning);
+  for (const std::size_t world : {4, 8}) {
+    expect_same_one_bit_price(MarParadigm::kRing, world);
+    expect_same_one_bit_price(MarParadigm::kTree, world);
+    expect_same_one_bit_price(MarParadigm::kTorus2d, world);  // 2×(M/2)
+  }
 }
 
 }  // namespace

@@ -375,8 +375,9 @@ TEST_P(ConvSweepTest, BitExactWithReferenceComposition) {
 
 TEST_P(ConvSweepTest, BitExactAcrossBatchChange) {
   // The trainer's pattern: train at the worker batch, run a larger eval
-  // forward, train again.  The cached input is resized in between, and the
-  // second training step must see none of the eval batch.
+  // forward, train again.  The cache grows for the eval batch, and the
+  // second training step runs on its prefix and must see none of the eval
+  // batch.
   const auto [c, h, w, oc, k, s, p] = GetParam();
   const ImageDims in{c, h, w};
   Conv2d conv(in, oc, k, s, p);

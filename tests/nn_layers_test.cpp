@@ -2,6 +2,7 @@
 // forward semantics on known inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -233,6 +234,57 @@ TEST(ResidualBlockTest, CollectsTwoConvLeaves) {
   block.collect_leaves(leaves);
   EXPECT_EQ(leaves.size(), 2u);
   EXPECT_GT(leaves[0]->param_count(), 0u);
+}
+
+TEST(ResidualBlockTest, BitExactAcrossBatchChange) {
+  // Train at batch 2, run a larger eval forward, train at batch 2 again:
+  // the buffers grow for the eval batch and the second training step runs
+  // on their prefix, so its output and gradients equal a fresh block's.
+  const ImageDims dims{2, 4, 4};
+  const std::size_t n = dims.size();
+  ResidualConvBlock warm(dims);
+  ResidualConvBlock fresh(dims);
+  Rng rng_warm(77);
+  Rng rng_fresh(77);
+  warm.init(rng_warm);
+  fresh.init(rng_fresh);
+  std::vector<Layer*> warm_leaves, fresh_leaves;
+  warm.collect_leaves(warm_leaves);
+  fresh.collect_leaves(fresh_leaves);
+  // A non-zero second conv so both branches carry gradient.
+  Rng fill(78);
+  fill_normal(warm_leaves[1]->params(), fill, 0.0f, 0.5f);
+  copy_into(warm_leaves[1]->params(), fresh_leaves[1]->params());
+
+  Rng data(79);
+  std::vector<float> x(2 * n), dy(2 * n), big_x(5 * n), big_y(5 * n);
+  fill_normal({x.data(), x.size()}, data, 0.0f, 1.0f);
+  fill_normal({dy.data(), dy.size()}, data, 0.0f, 1.0f);
+  fill_normal({big_x.data(), big_x.size()}, data, 0.0f, 1.0f);
+  std::vector<float> y(2 * n), dx(2 * n), want_y(2 * n), want_dx(2 * n);
+
+  warm.zero_grads();
+  warm.forward({x.data(), x.size()}, 2, {y.data(), y.size()});
+  warm.backward({dy.data(), dy.size()}, 2, {dx.data(), dx.size()});
+  warm.forward({big_x.data(), big_x.size()}, 5,
+               {big_y.data(), big_y.size()});
+  warm.zero_grads();
+  warm.forward({x.data(), x.size()}, 2, {y.data(), y.size()});
+  warm.backward({dy.data(), dy.size()}, 2, {dx.data(), dx.size()});
+
+  fresh.zero_grads();
+  fresh.forward({x.data(), x.size()}, 2, {want_y.data(), want_y.size()});
+  fresh.backward({dy.data(), dy.size()}, 2,
+                 {want_dx.data(), want_dx.size()});
+
+  EXPECT_EQ(y, want_y);
+  EXPECT_EQ(dx, want_dx);
+  for (std::size_t leaf = 0; leaf < 2; ++leaf) {
+    const auto got = warm_leaves[leaf]->grads();
+    const auto want = fresh_leaves[leaf]->grads();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+        << "leaf " << leaf;
+  }
 }
 
 TEST(LossTest, UniformLogitsGiveLogC) {
